@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.actions.expressions import evaluate, interpolate
 from repro.actions.runner import Runner, RunnerPool
@@ -548,9 +548,10 @@ class Engine:
         )
 
     # -- durability ----------------------------------------------------------
-    def resume_run(self, journal: Any) -> Dict[str, int]:
-        """Load finished plain ``run:`` steps from a journal so re-execution
-        skips their bodies.
+    def resume_run(self, records: Iterable[Any]) -> Dict[str, int]:
+        """Load finished plain ``run:`` steps from verified journal records
+        (a :class:`~repro.durability.recovery.ReplayIndex`'s ``records``)
+        so re-execution skips their bodies.
 
         Only ``run:`` steps are replayed: ``uses:`` steps (notably CORRECT)
         must re-execute live so their task submissions flow through the FaaS
@@ -558,7 +559,7 @@ class Engine:
         the uninterrupted run.
         """
         ledger: Dict[tuple, Dict[str, Any]] = {}
-        for record in journal.replay():
+        for record in records:
             if record.kind != "step.finished":
                 continue
             data = record.data

@@ -224,9 +224,9 @@ class World:
         """
         from repro.durability import ReplayIndex
 
-        index = ReplayIndex(journal)
+        index = ReplayIndex(journal)  # the resume's one chain walk
         self.faas.enable_replay(index)
-        self.engine.resume_run(journal)
+        self.engine.resume_run(index.records)
         self.resumed_from = index.head_hash
         self.crash_point = index.crash_record
         self.events.emit(

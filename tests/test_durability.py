@@ -17,6 +17,7 @@ from repro.durability import (
     CoordinatorCrashed,
     Journal,
     JournalCorrupt,
+    JsonlJournalStore,
     LeaseRegistry,
     MemoryJournalStore,
     ReplayIndex,
@@ -24,6 +25,7 @@ from repro.durability import (
 )
 from repro.experiments import common
 from repro.faas.client import ComputeClient
+from repro.faults.plan import CoordinatorCrash, FaultPlan
 from repro.faults.resilience import BreakerPolicy, RetryPolicy
 from repro.provenance.crate import ResearchCrate
 from repro.provenance.record import ExecutionRecord
@@ -97,6 +99,41 @@ class TestJournal:
         entries[0]["data"]["key"] = "evil"
         with pytest.raises(JournalCorrupt):
             Journal(MemoryJournalStore(entries))
+        # tampering with the loaded copy left the source store intact
+        Journal(journal.store).verify()
+
+    def test_memory_store_load_returns_independent_entries(self):
+        journal = Journal()
+        journal.append("task.submitted", 1.0, {"key": "a", "nested": {"n": 1}})
+        entries = journal.store.load()
+        entries[0]["data"]["key"] = "evil"
+        entries[0]["data"]["nested"]["n"] = 2
+        assert journal.store.load()[0]["data"] == {"key": "a", "nested": {"n": 1}}
+        reopened = Journal(journal.store)
+        reopened.verify()
+        assert reopened.head_hash == journal.head_hash
+
+    def test_torn_final_jsonl_line_is_journal_corrupt(self, tmp_path):
+        path = tmp_path / "run.journal"
+        journal = Journal.open(str(path))
+        for i in range(3):
+            journal.append("task.submitted", float(i), {"key": f"k{i}", "n": i})
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(JournalCorrupt, match="journal line 3"):
+            Journal.open(str(path))
+
+    def test_whole_record_tail_truncation_on_disk_is_a_shorter_chain(
+        self, tmp_path
+    ):
+        path = tmp_path / "run.journal"
+        journal = Journal.open(str(path))
+        for i in range(3):
+            journal.append("task.submitted", float(i), {"key": f"k{i}", "n": i})
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]))
+        shorter = Journal.open(str(path))
+        assert len(shorter) == 2
+        assert shorter.head_hash == journal.records[1].hash
 
     def test_broken_chain_is_detected(self):
         journal = Journal()
@@ -481,6 +518,83 @@ class TestRecovery:
             if e.kind == "lease.expired" and e.data.get("phase") == "recovery"
         ]
         assert len(expired) == 1
+
+
+def _echo(fctx, index, seconds):
+    fctx.handle.compute(seconds)
+    return [index, seconds]
+
+
+class TestOnDiskCrashResume:
+    """A coordinator crash while journaling to JSONL with batched flushes,
+    resumed in a fresh world from the file reopened on disk."""
+
+    TASKS = 40
+    POOL = 4
+    BATCH = 64
+    INPUTS = [[i, round(1.0 + (i * 7 % 11) / 5.0, 6)] for i in range(TASKS)]
+    # registrations and submissions come first; after them each task
+    # adds a dispatch and a completion and each member a block, so this
+    # record lands with about half the tasks complete
+    CRASH_AT = 2 * TASKS + 2 * POOL
+
+    def _world(self, path=None):
+        world = make_world()
+        if path is not None:
+            world.attach_journal(
+                Journal(JsonlJournalStore(str(path)), batch_size=self.BATCH)
+            )
+        user = world.register_user("alice", {"chameleon": "cc"})
+        client = ComputeClient(world.faas, user.client_id, user.client_secret)
+        fid = client.register_function(_echo, "echo")
+        members = [
+            mep.endpoint_id for mep in world.deploy_mep_pool("chameleon", self.POOL)
+        ]
+
+        def submit_all():
+            return [
+                client.submit(members[i % self.POOL], fid, i, seconds)
+                for i, seconds in self.INPUTS
+            ]
+
+        return world, submit_all
+
+    @staticmethod
+    def _outcomes(futures):
+        return [(f.result(), f.task.completed_at) for f in futures]
+
+    def test_crash_then_resume_from_disk(self, tmp_path):
+        reference, submit_all = self._world()
+        expected = submit_all()
+        reference.clock.run_until_idle()
+
+        crash_path = tmp_path / "crashed.jsonl"
+        crashed, submit_all = self._world(crash_path)
+        crashed.install_faults(
+            FaultPlan(seed=1, profile="on-disk-crash").add(
+                CoordinatorCrash(at_event_seq=self.CRASH_AT)
+            )
+        )
+        crashed.arm_faults()
+        submit_all()
+        with pytest.raises(CoordinatorCrashed):
+            crashed.clock.run_until_idle()
+        assert len(crashed.journal) == self.CRASH_AT
+
+        journal = Journal.open(str(crash_path))  # verifies from disk
+        # only whole flushed batches reached the file
+        assert len(journal) == self.CRASH_AT // self.BATCH * self.BATCH
+        resume_path = tmp_path / "resumed.jsonl"
+        resumed, submit_all = self._world(resume_path)
+        index = resumed.resume_from(journal)
+        futures = submit_all()
+        resumed.clock.run_until_idle()
+        resumed.journal.flush()
+
+        Journal.open(str(resume_path)).verify()
+        assert resumed.faas.replayed_keys
+        assert not set(index.completed_success()) & resumed.faas.executed_keys
+        assert self._outcomes(futures) == self._outcomes(expected)
 
 
 class TestCrateRecoveryFields:
