@@ -76,13 +76,6 @@ class TestSuiteCommand:
         assert "chameleon" in out
         assert "expanse" not in out
 
-    def test_suite_run_fig4_matches_legacy_output(self, capsys):
-        assert main(["suite", "run", "fig4"]) == 0
-        suite_out = capsys.readouterr().out
-        assert main(["fig4"]) == 0
-        legacy_out = capsys.readouterr().out
-        assert suite_out == legacy_out
-
     def test_suite_run_exits_zero_when_all_pass(self, capsys):
         assert main(["suite", "run", "fig4", "--var", "site=chameleon"]) == 0
 

@@ -304,18 +304,6 @@ class TestObsFig4Determinism:
         assert plain.resilience == chaos_obs.base.resilience
 
 
-class TestFigureBaselineUnchanged:
-    def test_fig4_cli_output_matches_committed_baseline(self, capsys):
-        from repro.cli import main
-
-        assert main(["fig4"]) == 0
-        out = capsys.readouterr().out
-        with open(
-            "benchmarks/baselines/fig4-pinned.txt", encoding="utf-8"
-        ) as fh:
-            assert out == fh.read()
-
-
 class TestObsCli:
     def test_obs_subcommand_runs_and_exports(self, tmp_path, capsys):
         from repro.cli import main
