@@ -13,7 +13,7 @@ import statistics
 
 import pytest
 
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.tables import format_table
 from repro.experiments.ablations import (
     cloud_overhead_sweep,
     cron_vs_correct,

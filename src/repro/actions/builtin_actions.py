@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.errors import ReproError
-from repro.shellsim.session import ShellServices
 
 
 class CheckoutAction:

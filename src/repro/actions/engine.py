@@ -16,7 +16,6 @@ from repro.actions.workflow import (
 )
 from repro.auth.oauth import AuthService
 from repro.errors import (
-    ApprovalRejected,
     ApprovalRequired,
     PermissionDenied,
     ReproError,

@@ -18,7 +18,7 @@ from repro.apps.parsldock.docking import (
     prepare_ligand,
     prepare_receptor,
 )
-from repro.apps.parsldock.ml import SurrogateModel, fingerprint
+from repro.apps.parsldock.ml import SurrogateModel
 from repro.apps.parsldock.pipeline import CANDIDATE_SMILES, DockingCampaign
 from repro.shellsim.suites import SuiteContext, TestSuite
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.apps.psij.dashboard import Dashboard
-from repro.errors import ReproError
 from repro.hub.service import HubService
 from repro.shellsim.session import ShellServices, ShellSession
 from repro.shellsim.suites import TestReport

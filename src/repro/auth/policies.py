@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional
 
-from repro.auth.identity import Identity
 from repro.auth.oauth import Token
 from repro.errors import PolicyViolation
 

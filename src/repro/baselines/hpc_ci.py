@@ -48,7 +48,7 @@ class JacamarAdapter(CIFrameworkAdapter):
         except IdentityMappingError:
             rejects_unmapped = True
         # runner executes on the login node, submitting to the scheduler
-        handle = site.login_handle(account)
+        site.login_handle(account)
         job = Job(user=account, partition="normal", num_nodes=1,
                   walltime=120.0, duration=5.0, name="jacamar-ci")
         job_id = site.scheduler.submit(job)

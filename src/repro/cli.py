@@ -157,16 +157,21 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         run_fig4_recovery,
         run_fig4_recovery_sweep,
     )
+    from repro.experiments.recovery import CrashPointError
 
     telemetry = _telemetry_enabled(args)
     if args.sweep:
         results = run_fig4_recovery_sweep(seed=args.seed, telemetry=telemetry)
     else:
-        results = [
-            run_fig4_recovery(
-                crash_at=args.crash_at, seed=args.seed, telemetry=telemetry
-            )
-        ]
+        try:
+            results = [
+                run_fig4_recovery(
+                    crash_at=args.crash_at, seed=args.seed, telemetry=telemetry
+                )
+            ]
+        except CrashPointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(format_recovery_report(results))
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
@@ -239,6 +244,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         format_hedging_report,
         run_fig4_failslow,
     )
+    from repro.experiments.common import FAULT_FREE_PROFILES
 
     params = HedgingParams(
         seed=args.seed, profile=args.profile, endpoints=args.endpoints
@@ -251,7 +257,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         and all(r.double_resolutions == 0 for r in runs)
         and all(r.unresolved_futures == 0 for r in runs)
     )
-    if params.profile in ("none", "off"):
+    if params.profile in FAULT_FREE_PROFILES:
         # a fault-free comparison only proves quiescence + exactly-once
         return 0 if audits_ok else 1
     return (
@@ -259,56 +265,6 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         if audits_ok and comparison.hedged.p99 < comparison.unhedged.p99
         else 1
     )
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run one microbenchmark scenario and write BENCH_<scenario>.json."""
-    from repro.experiments.bench import (
-        SCENARIOS,
-        check_against_baseline,
-        format_bench_report,
-    )
-
-    kwargs: Dict[str, object] = {}
-    if args.scenario.startswith("dispatch"):
-        if args.tasks:
-            kwargs["tasks"] = args.tasks
-        kwargs["endpoints"] = args.endpoints
-        kwargs["seed"] = args.seed
-        kwargs["telemetry"] = args.telemetry
-        if args.span_sample_rate is not None:
-            kwargs["telemetry"] = True
-            kwargs["span_sample_rate"] = args.span_sample_rate
-        if args.journal_batch:
-            kwargs["journal_batch"] = args.journal_batch
-        if args.obs:
-            kwargs["obs"] = True
-    elif args.scenario.startswith("overload"):
-        if args.tasks:
-            kwargs["tasks"] = args.tasks
-        kwargs["tenants"] = args.tenants
-        kwargs["endpoints"] = args.endpoints
-        kwargs["seed"] = args.seed
-    else:
-        kwargs["pool_size"] = args.pool_size
-    result = SCENARIOS[args.scenario](**kwargs)
-    print(format_bench_report(result))
-    if not args.no_write:
-        path = result.write(args.output_dir)
-        print(f"\nwrote {path}")
-    if args.baseline:
-        failures = check_against_baseline(
-            result, args.baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"baseline check passed ({args.baseline}, "
-            f"tolerance {args.tolerance:.0%})"
-        )
-    return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
@@ -612,12 +568,28 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "chaos": _cmd_chaos,
     "route": _cmd_route,
     "recover": _cmd_recover,
-    "bench": _cmd_bench,
     "obs": _cmd_obs,
     "overload": _cmd_overload,
     "hedge": _cmd_hedge,
     "suite": _cmd_suite,
 }
+
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """argparse ``type=`` for a finite number of ``kind`` above zero."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+            if 0 < value < float("inf"):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a positive {kind.__name__}, got {text!r}"
+        )
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -721,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="placement policy to compare against pinned",
     )
     route.add_argument(
-        "--pool-size", type=int, default=2,
+        "--pool-size", type=_positive(int), default=2,
         help="endpoints deployed per site (default 2)",
     )
     route.add_argument(
@@ -766,76 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-telemetry", action="store_true",
         help="run without tracer/metrics (outputs are identical)",
     )
-    bench = sub.add_parser(
-        "bench",
-        help=(
-            "run a seeded microbenchmark scenario and write "
-            "BENCH_<scenario>.json"
-        ),
-    )
-    bench.add_argument(
-        "scenario",
-        choices=[
-            "dispatch_10k", "dispatch_100k", "dispatch_1m",
-            "fig4_pooled", "overload_50k",
-        ],
-        help="which scenario to run",
-    )
-    bench.add_argument(
-        "--tasks", type=int, default=0,
-        help="override the task count of a dispatch scenario",
-    )
-    bench.add_argument(
-        "--endpoints", type=int, default=8,
-        help="endpoints in the dispatch/overload pool (default 8)",
-    )
-    bench.add_argument(
-        "--tenants", type=int, default=8,
-        help="tenants sharing the pool (overload scenarios, default 8)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed; the same seed replays the same durations",
-    )
-    bench.add_argument(
-        "--telemetry", action="store_true",
-        help="attach the tracer/metrics bridge (dispatch scenarios)",
-    )
-    bench.add_argument(
-        "--span-sample-rate", type=float, default=None,
-        help="trace this fraction of task roots (implies --telemetry)",
-    )
-    bench.add_argument(
-        "--journal-batch", type=int, default=0,
-        help="journal the run with this store-flush batch size",
-    )
-    bench.add_argument(
-        "--obs", action="store_true",
-        help=(
-            "attach the observability plane (implies --telemetry); the "
-            "JSON gains a real alerts_fired count and p95 series"
-        ),
-    )
-    bench.add_argument(
-        "--pool-size", type=int, default=2,
-        help="endpoints per site for fig4_pooled (default 2)",
-    )
-    bench.add_argument(
-        "-o", "--output-dir", default=".",
-        help="directory for BENCH_<scenario>.json (default: cwd)",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true",
-        help="print the report without writing the JSON",
-    )
-    bench.add_argument(
-        "--baseline", default="",
-        help="baseline JSON to gate against (exit 1 on regression)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="allowed throughput drop vs the baseline (default 0.2)",
-    )
     obs = sub.add_parser(
         "obs",
         help=(
@@ -857,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault profile; 'none' runs the fault-free Fig. 4",
     )
     obs.add_argument(
-        "--window", type=float, default=60.0,
+        "--window", type=_positive(float), default=60.0,
         help="time-series bucket width in virtual seconds (default 60)",
     )
     obs.add_argument(
@@ -887,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which workload shape to run (fig4: pooled multi-tenant site)",
     )
     overload.add_argument(
-        "--tenants", type=int, default=4,
+        "--tenants", type=_positive(int), default=4,
         help="tenants sharing the pool (tenant 0 goes hot; default 4)",
     )
     overload.add_argument(
@@ -900,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault profile; 'none' runs the comparison fault-free",
     )
     overload.add_argument(
-        "--endpoints", type=int, default=4,
+        "--endpoints", type=_positive(int), default=4,
         help="endpoints in the shared pool (default 4)",
     )
     overload.add_argument(
@@ -932,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault profile; 'none' proves quiescence on a healthy pool",
     )
     hedge.add_argument(
-        "--endpoints", type=int, default=3,
+        "--endpoints", type=_positive(int), default=3,
         help="pool members at the fail-slow site (default 3)",
     )
     suite = sub.add_parser(
@@ -983,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-plan seed; the same seed replays the same run",
     )
     run.add_argument(
-        "--pool-size", type=int, default=1,
+        "--pool-size", type=_positive(int), default=1,
         help="endpoints per site for --permute (default 1)",
     )
     run.add_argument(

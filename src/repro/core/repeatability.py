@@ -94,7 +94,7 @@ def evaluate_repeatability(
     artifact holds the reference test outcomes.
     """
     hub = world.hub
-    source = hub.repo(slug)
+    hub.repo(slug)
 
     # 1. fork
     fork = hub.fork(slug, evaluator.login)

@@ -6,7 +6,6 @@ import re
 from typing import Any, Dict, Tuple
 
 from repro.core.remote import FN_READ_FILE
-from repro.errors import TaskFailed
 from repro.shellsim.suites import TestReport
 
 # "suite::test_name PASSED [12.34s]" lines from the simulated pytest

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from repro.envs.packages import Package, Version, VersionSpec
+from repro.envs.packages import Package, VersionSpec
 from repro.errors import PackageNotFound, ResolutionError
 
 

@@ -73,7 +73,7 @@ def overhead_ablation(
 ) -> OverheadResult:
     """Run the same task stream on a reused pilot and on per-task blocks."""
     world = World()
-    user = world.register_user("ops", {site_name: "x-ops"})
+    world.register_user("ops", {site_name: "x-ops"})
     site = world.site(site_name)
     partition = common.SITE_PARTITIONS[site_name]
     assert partition is not None
@@ -374,7 +374,7 @@ def retention_ablation() -> Dict[str, bool]:
         "curator/results", author=user.login, message="init",
         files={"README.md": "results\n"},
     )
-    artifact = world.hub.artifacts.upload("run-000001", "stdout", "42\n")
+    world.hub.artifacts.upload("run-000001", "stdout", "42\n")
     world.hub.push_commit(
         "curator/results", author=user.login, message="persist outputs",
         patch={"outputs/stdout.txt": "42\n"},

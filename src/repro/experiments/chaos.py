@@ -10,9 +10,9 @@ and ``run_fig5_chaos`` reproduces §6.2's failing-test artifact through
 fault injection against the *fixed* PSI/J suite, proving the fault
 layer converges on the hard-coded defect path.
 
-Everything is virtual-time deterministic: the same seed twice produces
-byte-identical reports (the CI ``chaos-smoke`` job asserts exactly
-that).
+Everything is virtual-time deterministic: the same seed produces
+byte-identical reports (``tests/test_pinned_reports.py`` asserts the
+seed-7 Fig. 4 report and the Fig. 5 one against pinned files).
 """
 
 from __future__ import annotations

@@ -28,6 +28,15 @@ PSIJ_STACK: Dict[str, str] = {
     "pytest": ">=7",
 }
 
+# profile values meaning "no faults": the run arms no fault plan
+FAULT_FREE_PROFILES = ("none", "off")
+
+
+def virtual_work(fctx, seconds: float) -> float:
+    """Synthetic task body: burn ``seconds`` of virtual compute."""
+    fctx.handle.compute(seconds)
+    return seconds
+
 
 def provision_user_site(
     world: World,

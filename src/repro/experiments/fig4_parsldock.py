@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.reporting import parse_pytest_stdout
 from repro.suites import SuiteRun, run_suite
 
 FIG4_SITES = ("chameleon", "faster", "expanse")

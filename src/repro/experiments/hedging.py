@@ -29,7 +29,7 @@ same-seed runs — and their formatted reports — are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import common
@@ -41,7 +41,6 @@ from repro.telemetry.metrics import percentile
 from repro.world import World
 
 FAILSLOW_SITE = "chameleon"
-FAULT_FREE_PROFILES = ("none", "off")
 
 
 @dataclass(frozen=True)
@@ -132,11 +131,6 @@ class FailSlowRunResult:
     double_resolutions: int = 0
 
 
-def _failslow_work(fctx, seconds: float) -> float:
-    fctx.handle.compute(seconds)
-    return seconds
-
-
 def run_failslow(
     params: HedgingParams,
     hedged: bool = True,
@@ -145,7 +139,7 @@ def run_failslow(
     """One world, one seed, the full fail-slow workload."""
     plan = (
         None
-        if fault_free or params.profile in FAULT_FREE_PROFILES
+        if fault_free or params.profile in common.FAULT_FREE_PROFILES
         else build_profile(params.profile, params.seed)
     )
     world = World(
@@ -164,7 +158,7 @@ def run_failslow(
     user = world.register_user("hedger", {FAILSLOW_SITE: "x-hedger"})
     client = ComputeClient(world.faas, user.client_id, user.client_secret)
     common.deploy_site_mep_pool(world, FAILSLOW_SITE, size=params.endpoints)
-    function_id = client.register_function(_failslow_work, "failslow-work")
+    function_id = client.register_function(common.virtual_work, "failslow-work")
 
     arrivals = generate_failslow_workload(params)
     futures = []
@@ -317,8 +311,9 @@ def format_hedging_report(comparison: FailSlowComparison) -> str:
         ("wasted work share", f"{off.wasted_ratio * 100:.1f}%",
          f"{on.wasted_ratio * 100:.1f}%"),
     ]
-    for label, left, right in rows:
-        lines.append(f"{label:28}{left:>16}{right:>16}")
+    lines.extend(
+        f"{label:28}{left:>16}{right:>16}" for label, left, right in rows
+    )
     lines.append("")
     lines.append(
         f"p95 cut: {comparison.p95_cut * 100:.1f}%   "

@@ -13,7 +13,8 @@ Determinism is the point: the plane only *observes* the same event
 stream the chaos experiments already pin byte-identical per seed, and
 SLO evaluation happens at virtual-time bucket boundaries — so two runs
 with the same seed produce identical series, identical alert
-timelines, and identical reports (CI's ``obs-smoke`` job diffs them).
+timelines, and identical reports (``tests/test_pinned_reports.py``
+pins them).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.chaos import run_fig4_chaos
+from repro.experiments.common import FAULT_FREE_PROFILES
 from repro.experiments.fig4_parsldock import FIG4_SITES, run_fig4
 from repro.telemetry import (
     DEFAULT_WINDOW,
@@ -29,9 +31,6 @@ from repro.telemetry import (
     default_slo_pack,
     openmetrics_text,
 )
-
-# profile value meaning "no faults": plain Fig. 4 with the plane attached
-FAULT_FREE_PROFILES = ("none", "off")
 
 
 @dataclass

@@ -43,7 +43,6 @@ from repro.telemetry.slo import overload_slo_pack
 from repro.world import World
 
 OVERLOAD_SITE = "chameleon"
-FAULT_FREE_PROFILES = ("none", "off")
 
 # Retry tuning for overload runs: fewer, faster attempts than the chaos
 # experiments — under contention a long backoff ladder just holds queue
@@ -219,12 +218,7 @@ class OverloadRunResult:
 
     @property
     def fault_free(self) -> bool:
-        return self.params.profile in FAULT_FREE_PROFILES
-
-
-def _overload_work(fctx, seconds: float) -> float:
-    fctx.handle.compute(seconds)
-    return seconds
+        return self.params.profile in common.FAULT_FREE_PROFILES
 
 
 def run_overload(
@@ -242,7 +236,7 @@ def run_overload(
     """
     plan = (
         None
-        if params.profile in FAULT_FREE_PROFILES
+        if params.profile in common.FAULT_FREE_PROFILES
         else build_profile(params.profile, params.seed)
     )
     if protection and config is None:
@@ -278,7 +272,7 @@ def run_overload(
 
         world.faas.enable_replay(ReplayIndex(replay_journal))
     function_ids = [
-        client.register_function(_overload_work, f"overload-work-{index}")
+        client.register_function(common.virtual_work, f"overload-work-{index}")
         for index, client in enumerate(clients)
     ]
 
@@ -468,8 +462,9 @@ def format_overload_report(comparison: OverloadComparison) -> str:
          f"{on.brownout_seconds:.1f}"),
         ("alerts fired", str(off.alerts_fired), str(on.alerts_fired)),
     ]
-    for label, left, right in rows:
-        lines.append(f"{label:28}{left:>16}{right:>16}")
+    lines.extend(
+        f"{label:28}{left:>16}{right:>16}" for label, left, right in rows
+    )
     lines.append("")
     lines.append(
         f"{'tenant':12}{'role':>8}{'fair p95':>12}{'off p95':>12}{'on p95':>12}"
@@ -482,13 +477,13 @@ def format_overload_report(comparison: OverloadComparison) -> str:
         return "-" if value is None else f"{value:.1f}"
 
     off_p95 = {r.login: r.p95_queue_wait for r in off.tenants}
-    for report in on.tenants:
-        lines.append(
-            f"{report.login:12}{'hot' if report.hot else 'fair':>8}"
-            f"{_fmt(baseline_p95.get(report.login)):>12}"
-            f"{_fmt(off_p95.get(report.login)):>12}"
-            f"{_fmt(report.p95_queue_wait):>12}"
-        )
+    lines.extend(
+        f"{report.login:12}{'hot' if report.hot else 'fair':>8}"
+        f"{_fmt(baseline_p95.get(report.login)):>12}"
+        f"{_fmt(off_p95.get(report.login)):>12}"
+        f"{_fmt(report.p95_queue_wait):>12}"
+        for report in on.tenants
+    )
     lines.append("")
     ratio = comparison.goodput_ratio
     ratio_text = "inf" if ratio == float("inf") else f"{ratio:.2f}"

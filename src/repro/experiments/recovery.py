@@ -40,6 +40,10 @@ CRASH_POINT_NAMES: Tuple[str, ...] = (
 )
 
 
+class CrashPointError(ValueError):
+    """A ``crash_at`` that names no point of the baseline journal."""
+
+
 def _execute(
     crash_at: Optional[int] = None,
     resume_journal=None,
@@ -211,11 +215,15 @@ def _recover_one(
     seed: int,
     telemetry: bool,
 ) -> Fig4RecoveryResult:
-    """Crash + resume for one point, given the baseline journal."""
+    """Crash + resume for one point, given the baseline journal.
+
+    An unknown point name or a record number outside the baseline
+    journal raises :class:`CrashPointError` before the crash run starts.
+    """
     points = crash_points_of(baseline_journal)
     if isinstance(crash_at, str) and not crash_at.isdigit():
         if crash_at not in points:
-            raise ValueError(
+            raise CrashPointError(
                 f"unknown crash point {crash_at!r}; "
                 f"choices: {list(points)} or a record number"
             )
@@ -223,6 +231,11 @@ def _recover_one(
     else:
         crash_record = int(crash_at)
         label = f"record-{crash_record}"
+        if not 1 <= crash_record <= len(baseline_journal):
+            raise CrashPointError(
+                f"crash record {crash_record} is outside the baseline "
+                f"journal (records 1..{len(baseline_journal)})"
+            )
 
     _, _, crash_journal, crashed = _execute(
         crash_at=crash_record, telemetry=telemetry, seed=seed

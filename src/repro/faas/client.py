@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Sequence
 
-from repro.auth.oauth import AuthService, SCOPE_COMPUTE, Token
+from repro.auth.oauth import SCOPE_COMPUTE, Token
 from repro.faas.future import TaskFuture
 from repro.faas.placement import RouteDecision
 from repro.faas.service import BatchRequest, FaaSService

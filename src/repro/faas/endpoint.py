@@ -22,9 +22,9 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.auth.identity import Identity
 from repro.auth.oauth import Token
 from repro.auth.policies import HighAssurancePolicy
-from repro.errors import FunctionNotAllowed, NetworkBlocked
+from repro.errors import FunctionNotAllowed
 from repro.executor.pilot import PilotExecutor
-from repro.executor.providers import LocalProvider, Provider, SlurmProvider
+from repro.executor.providers import LocalProvider, SlurmProvider
 from repro.faas.functions import FunctionContext, FunctionSpec
 from repro.shellsim.session import ShellServices
 from repro.sites.site import Site

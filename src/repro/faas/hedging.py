@@ -37,7 +37,7 @@ report bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING
 from collections import deque
 
@@ -167,7 +167,7 @@ class StragglerDetector:
 
 @dataclass
 class HedgeStats:
-    """Counters the experiment reports and the bench schema export."""
+    """Counters the experiment reports and the benchmark read."""
 
     hedges_launched: int = 0
     hedges_won: int = 0  # the duplicate produced the winning result
@@ -552,7 +552,7 @@ class HedgeController:
     # -- reporting -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, float]:
-        """JSON-ready counters for reports and the bench schema."""
+        """JSON-ready counters for reports."""
         stats = self.stats
         return {
             "hedges_launched": stats.hedges_launched,

@@ -5,18 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.actions.runner import Runner, RunnerPool
+from repro.actions.runner import RunnerPool
 from repro.errors import (
     HubError,
     PermissionDenied,
     ReproError,
-    WorkflowParseError,
 )
 from repro.gitlab.models import (
     CIVariable,
     GitLabJobDef,
     PIPELINE_FILENAME,
-    PipelineDef,
     parse_pipeline,
 )
 from repro.shellsim.session import ShellServices

@@ -277,7 +277,6 @@ class SlurmScheduler:
         return None
 
     def _start_job(self, job: Job) -> None:
-        partition = self._partitions[job.partition]
         free = self.free_nodes(job.partition)
         job.allocated_nodes = free[: job.num_nodes]
         self._busy_nodes[job.partition].update(

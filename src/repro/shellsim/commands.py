@@ -27,7 +27,6 @@ from repro.errors import (
 )
 from repro.shellsim.result import CommandResult
 from repro.shellsim.suites import (
-    TestReport,
     format_pytest_output,
     load_suite,
     SuiteContext,

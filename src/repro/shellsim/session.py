@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.containers.runtime import RunningContainer
-from repro.errors import CommandNotFound, ShellError
+from repro.errors import ShellError
 from repro.shellsim.parsing import (
     expand_variables,
     extract_assignments,

@@ -4,8 +4,8 @@ The runner replays the exact world-operation order of the legacy
 hard-coded apps — World construction, user registration, container
 publication, per-site provisioning and MEP deployment, repository
 creation, push — so that a suite file describing Fig. 4 produces a
-byte-identical virtual-time trace (the ``suite-smoke`` CI job diffs the
-rendered report against the pinned baseline).
+byte-identical virtual-time trace (``tests/test_pinned_reports.py``
+compares the rendered report with the pinned baseline).
 
 Split into two phases so experiments can interpose between setup and
 trigger (the recovery experiment attaches a journal and arms a crash

@@ -54,7 +54,7 @@ import importlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ReproError, YamliteError
 from repro.util import yamlite

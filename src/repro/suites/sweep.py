@@ -77,7 +77,7 @@ def run_sweep(
     Deterministic for a fixed (suite, overrides, seed, profile, policy):
     instances are submitted in expansion order and drained in the same
     order, so two identical invocations produce byte-identical reports —
-    the property the ``suite-smoke`` CI job asserts under chaos.
+    under chaos too, as the pinned seed-7 sweep report asserts.
     """
     from repro.core.driver import execute_correct_async
     from repro.core.inputs import CorrectInputs

@@ -139,12 +139,12 @@ class HealthScorer:
         snapshot = self.snapshot(now)
         if not snapshot:
             lines.append("  (no endpoints observed)")
-        for endpoint, row in snapshot.items():
-            lines.append(
-                f"  {endpoint:<28} {row['state']:<10} "
-                f"score={row['score']:.3f} "
-                f"ok={row['success_rate']:.3f} "
-                f"breaker={row['breaker_level']:.1f} "
-                f"trend={row['queue_trend']:+.1f}"
-            )
+        lines.extend(
+            f"  {endpoint:<28} {row['state']:<10} "
+            f"score={row['score']:.3f} "
+            f"ok={row['success_rate']:.3f} "
+            f"breaker={row['breaker_level']:.1f} "
+            f"trend={row['queue_trend']:+.1f}"
+            for endpoint, row in snapshot.items()
+        )
         return "\n".join(lines)

@@ -6,8 +6,8 @@ OpenMetrics text format — ``# TYPE`` family declarations, ``_total``
 counter samples, label escaping, terminating ``# EOF`` — so any
 Prometheus-compatible scraper or ``promtool check metrics`` can consume
 a run's telemetry. ``validate_openmetrics`` is the matching
-self-contained parser used by tests and the CI ``obs-smoke`` job (no
-external tooling in the loop). ``dashboard_snapshot`` bundles series,
+self-contained parser the tests use (no external tooling in the
+loop). ``dashboard_snapshot`` bundles series,
 summaries, health, and the alert timeline into one JSON-ready dict —
 the "dashboard" a browser UI or notebook would render.
 

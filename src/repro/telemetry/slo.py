@@ -266,7 +266,7 @@ def default_slo_pack(
     latency_threshold: float = 5400.0,
     error_rate_threshold: float = 0.05,
 ) -> List[AlertRule]:
-    """The default SLO pack used by ``repro obs`` and CI smoke runs.
+    """The default SLO pack used by ``repro obs`` and its pinned reports.
 
     Two rules, both calibrated so a fault-free default-policy Fig. 4
     run never fires (zero failed attempts; p95 queue wait under the

@@ -87,7 +87,7 @@ class World:
         # span_sampler (default: sample everything) trims span volume at
         # scale without touching events or metrics.
         # streaming_metrics switches every registry histogram to fixed
-        # buckets (bounded memory for million-task bench runs; figure
+        # buckets (bounded memory for million-task runs; figure
         # runs keep the exact default).
         histogram_bounds = DEFAULT_BOUNDS if streaming_metrics else None
         if telemetry:

@@ -3,7 +3,7 @@ approval gates, artifacts, builtin actions."""
 
 import pytest
 
-from repro.actions.engine import Engine, EngineServices, StepOutcome
+from repro.actions.engine import Engine, EngineServices
 from repro.actions.runner import RunnerPool
 from repro.core.security import sole_reviewer_rules
 from repro.envs.stdlib import standard_index

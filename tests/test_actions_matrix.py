@@ -158,23 +158,23 @@ class TestMatrixWithEnvironments:
                 common.DOCKING_STACK,
             )
             endpoints[site] = common.deploy_site_mep(world, site).endpoint_id
-        workflow = f"""on: push
+        workflow = """on: push
 jobs:
   test:
     strategy:
       matrix:
         site: [chameleon, faster]
-    environment: hpc-${{{{ matrix.site }}}}
+    environment: hpc-${{ matrix.site }}
     steps:
       - name: remote pytest
         uses: globus-labs/correct@v1
         with:
-          client_id: '${{{{ secrets.GLOBUS_ID }}}}'
-          client_secret: '${{{{ secrets.GLOBUS_SECRET }}}}'
-          endpoint_uuid: '${{{{ secrets.ENDPOINT_UUID }}}}'
+          client_id: '${{ secrets.GLOBUS_ID }}'
+          client_secret: '${{ secrets.GLOBUS_SECRET }}'
+          endpoint_uuid: '${{ secrets.ENDPOINT_UUID }}'
           shell_cmd: pytest
           conda_env: docking
-          artifact_prefix: correct-${{{{ matrix.site }}}}
+          artifact_prefix: correct-${{ matrix.site }}
 """
         from repro.apps.parsldock import suite as pd
 

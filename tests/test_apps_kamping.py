@@ -182,7 +182,7 @@ class TestAlgorithms:
 class TestArtifacts:
     def _session(self):
         from repro.envs.stdlib import standard_index
-        from repro.shellsim.session import ShellServices, ShellSession
+        from repro.shellsim.session import ShellSession
         from repro.sites.catalog import make_chameleon
         from repro.util.clock import SimClock
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.parsldock.chemistry import Molecule, parse_smiles
+from repro.apps.parsldock.chemistry import parse_smiles
 from repro.apps.parsldock.docking import (
     DEFAULT_RECEPTOR_SEQUENCE,
     dock,

@@ -162,7 +162,7 @@ class TestCronCI:
         from repro.world import World
 
         world = World()
-        user = world.register_user("dev", {"anvil": "x-dev"})
+        world.register_user("dev", {"anvil": "x-dev"})
         site = world.site("anvil", background_load=False)
         handle = site.login_handle("x-dev")
         handle.conda().create("psij")

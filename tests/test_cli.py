@@ -102,3 +102,40 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "Suite sweep — fig4" in out
+
+
+def _exit_code(argv):
+    """``main``'s exit code, whether it returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# one row per rejected input: argv, then a fragment of the error line
+INVALID_INPUTS = [
+    (["recover", "fig4", "--crash-at", "bogus"], "unknown crash point"),
+    (["recover", "fig4", "--crash-at", "0"], "outside the baseline"),
+    (["recover", "fig4", "--crash-at", "99999"], "outside the baseline"),
+    (["overload", "fig4", "--tenants", "0"], "--tenants"),
+    (["overload", "fig4", "--endpoints", "0"], "--endpoints"),
+    (["hedge", "fig4", "--endpoints", "0"], "--endpoints"),
+    (["route", "fig4", "--pool-size", "0"], "--pool-size"),
+    (["suite", "run", "fig4-sweep", "--permute", "--pool-size", "0"],
+     "--pool-size"),
+    (["obs", "fig4", "--window", "0"], "--window"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    INVALID_INPUTS,
+    ids=[" ".join(argv) for argv, _ in INVALID_INPUTS],
+)
+def test_invalid_input_exits_two(argv, message, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "error: " in last and message in last
+    assert "Traceback" not in captured.err

@@ -76,7 +76,7 @@ class TestHappyPath:
 
     def test_provenance_record_written(self, rig):
         world, user, mep = rig
-        run = _launch(world, user, mep)
+        _launch(world, user, mep)
         records = world.provenance.for_repo(f"{user.login}/app-0")
         assert len(records) == 1
         record = records[0]
@@ -99,7 +99,7 @@ class TestHappyPath:
 
     def test_environment_snapshot_masks_secrets(self, rig):
         world, user, mep = rig
-        run = _launch(
+        _launch(
             world, user, mep,
             extra_step_kwargs={"artifact_prefix": "snap"},
         )
@@ -242,7 +242,7 @@ class TestSecurityHelpers:
     def test_audit_flags_misconfiguration(self, rig):
         world, user, mep = rig
         hosted = world.hub.create_repo("vhayot/audit", owner=user.login)
-        env = hosted.create_environment(user.login, "open-env")
+        hosted.create_environment(user.login, "open-env")
         warnings = audit_environment(hosted, "open-env")
         assert any("no required reviewers" in w for w in warnings)
 

@@ -7,7 +7,6 @@ from repro.core.driver import CorrectResult, execute_correct, register_helpers
 from repro.core.inputs import CorrectInputs
 from repro.core.remote import (
     CLONE_DIR_NAME,
-    FN_READ_FILE,
     capture_environment,
     clone_repository,
     read_file,

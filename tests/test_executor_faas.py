@@ -290,3 +290,49 @@ class TestFaaSService:
         client.run(mep.endpoint_id, fid)
         forks = [e for e in mep.audit_log if e["event"] == "uep.forked"]
         assert len(forks) == 1
+
+
+def _burn(fctx, seconds):
+    fctx.handle.compute(seconds)
+    return seconds
+
+
+class TestDispatchAtScale:
+    def test_100k_tasks_over_an_8_member_pool_resolve(self):
+        # the headline scale target: 100k tasks through submit, dispatch,
+        # pilot execution and completion without event-queue blowup
+        import random
+        import time
+
+        from repro.faas.client import ComputeClient
+        from repro.telemetry import percentile
+        from repro.world import World
+
+        world = World(telemetry=False)
+        user = world.register_user("scale", {"chameleon": "x-scale"})
+        pool = [mep.endpoint_id for mep in world.deploy_mep_pool("chameleon", 8)]
+        client = ComputeClient(world.faas, user.client_id, user.client_secret)
+        fid = client.register_function(_burn, "burn")
+        rng = random.Random(42)
+        durations = [2.0 * (0.5 + rng.random()) for _ in range(100_000)]
+        started = time.perf_counter()
+        futures = [
+            client.submit(pool[i % len(pool)], fid, seconds)
+            for i, seconds in enumerate(durations)
+        ]
+        world.clock.run_until_idle()
+        assert time.perf_counter() - started < 60
+        assert [f.result() for f in futures] == durations
+        # submitted + dispatched + completed per task, plus setup events
+        events = world.events
+        assert len(events) >= 300_000
+        submitted = {
+            e.data["task_id"]: e.time
+            for e in events.query("faas", "task.submitted")
+        }
+        latencies = [
+            e.time - submitted[e.data["task_id"]]
+            for e in events.query("faas", "task.dispatched")
+        ]
+        assert len(latencies) == len(durations)
+        assert 0 < percentile(latencies, 50) <= percentile(latencies, 95)

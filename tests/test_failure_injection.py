@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.workflow_builder import WorkflowBuilder
-from repro.errors import TaskFailed
 from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.world import World
@@ -190,7 +189,7 @@ jobs:
             workflow_path=".github/workflows/pr.yml",
             workflow_text=workflow,
         )
-        contributor = world.register_user("contrib", {})
+        world.register_user("contrib", {})
         world.hub.fork("vhayot/upstream", "contrib")
         world.hub.push_commit(
             "contrib/upstream", author="contrib", message="proposal",

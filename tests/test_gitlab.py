@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.envs.stdlib import standard_index
 from repro.errors import PermissionDenied, WorkflowParseError
 from repro.gitlab.component import COMPONENT_NAME, CorrectComponent
 from repro.gitlab.models import CIVariable, GitLabJobDef, parse_pipeline
@@ -265,7 +264,7 @@ remote-tests:
     def test_unregistered_component_fails(self):
         world, user, mep, service = self._rig()
         service.components.pop(COMPONENT_NAME)
-        project = service.create_project("lab/app", owner="vhayot")
+        service.create_project("lab/app", owner="vhayot")
         files = {".gitlab-ci.yml": self._pipeline(mep.endpoint_id)}
         service.commit("lab/app", author="vhayot", message="init", files=files)
         assert service.pipelines[0].status == "failed"

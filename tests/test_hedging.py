@@ -313,49 +313,6 @@ class TestExecutionRecordHedgeProvenance:
         assert record.loser_endpoint == ""
 
 
-class TestBenchSchemaV4:
-    def test_schema_and_hedge_fields(self):
-        from repro.experiments.bench import (
-            ACCEPTED_BASELINE_SCHEMAS,
-            SCHEMA,
-            BenchResult,
-        )
-
-        assert SCHEMA == "repro-bench/4"
-        for generation in range(1, 5):
-            assert f"repro-bench/{generation}" in ACCEPTED_BASELINE_SCHEMAS
-        result = BenchResult(
-            scenario="s", params={}, tasks=1, wall_seconds=1.0,
-            tasks_per_second=1.0, virtual_makespan=1.0, events_emitted=1,
-            peak_pending_events=1, dispatch_latency_p50=0.0,
-            dispatch_latency_p95=0.0, hedges_launched=3, hedges_won=2,
-            wasted_work_seconds=1.5,
-        )
-        payload = result.to_json()["results"]
-        assert payload["hedges_launched"] == 3
-        assert payload["hedges_won"] == 2
-        assert payload["wasted_work_seconds"] == 1.5
-
-    def test_v3_baselines_still_gate(self, tmp_path):
-        import json
-
-        from repro.experiments.bench import BenchResult, check_against_baseline
-
-        result = BenchResult(
-            scenario="s", params={}, tasks=1, wall_seconds=1.0,
-            tasks_per_second=100.0, virtual_makespan=1.0, events_emitted=1,
-            peak_pending_events=1, dispatch_latency_p50=0.0,
-            dispatch_latency_p95=0.0,
-        )
-        path = tmp_path / "v3.json"
-        path.write_text(json.dumps({
-            "schema": "repro-bench/3",
-            "scenario": "s",
-            "results": {"tasks_per_second": 100.0},
-        }))
-        assert check_against_baseline(result, str(path), tolerance=0.2) == []
-
-
 class TestHedgeCLI:
     def test_hedge_subcommand_parses(self):
         from repro.cli import build_parser

@@ -1,5 +1,7 @@
 """The overload-protection plane: admission, AIMD, budgets, determinism."""
 
+import random
+
 import pytest
 
 from repro.durability.journal import Journal
@@ -8,6 +10,7 @@ from repro.experiments.overload import (
     OverloadParams,
     format_overload_report,
     generate_workload,
+    overload_config,
     run_overload,
     run_overload_comparison,
 )
@@ -153,6 +156,50 @@ class TestAdmissionRejection:
         assert err.value.reason == "quota-inflight"
 
 
+class TestAdmissionAccounting:
+    def test_admitted_plus_rejected_is_offered_at_2x(self):
+        # arrivals scheduled in virtual time at twice the pool's service
+        # rate: every offered task is either admitted or rejected
+        from repro.experiments import common
+        from repro.faas.client import ComputeClient
+
+        tenants, endpoints, offered, mean = 2, 2, 300, 2.0
+        shape = OverloadParams(
+            tenants=tenants, endpoints=endpoints, seed=0,
+            mean_seconds=mean, offered_utilization=2.0,
+        )
+        world = World(
+            overload=overload_config(shape), placement_policy="least-loaded"
+        )
+        common.deploy_site_mep_pool(world, "chameleon", size=endpoints)
+        rate = 2.0 * (endpoints / mean) / tenants
+        futures = []
+        for tenant in range(tenants):
+            login = f"t{tenant}"
+            user = world.register_user(login, {"chameleon": f"x-{login}"})
+            client = ComputeClient(
+                world.faas, user.client_id, user.client_secret
+            )
+            fn = client.register_function(_work, f"w{tenant}")
+            rng = random.Random(tenant)
+            t = 0.0
+            for _ in range(offered // tenants):
+                t += rng.expovariate(rate)
+                duration = mean * (0.5 + rng.random())
+                world.clock.call_after(
+                    t,
+                    lambda c=client, f=fn, d=duration: futures.append(
+                        c.submit("chameleon", f, d)
+                    ),
+                )
+        world.clock.run_until_idle()
+        stats = world.faas.overload.stats
+        assert len(futures) == offered
+        assert all(f.done() for f in futures)
+        assert stats.rejected > 0
+        assert stats.admitted + stats.rejected == offered
+
+
 class TestDeterminism:
     def test_default_world_has_no_overload_plane(self):
         world = World()
@@ -198,20 +245,6 @@ class TestShedReplay:
         assert replayed.rejected == live.rejected
 
 
-class TestBenchSchema:
-    def test_overload_bench_serializes_v3_fields(self):
-        from repro.experiments.bench import SCHEMA, run_overload_bench
-
-        result = run_overload_bench(tasks=300, tenants=2, endpoints=2, seed=0)
-        payload = result.to_json()
-        assert payload["schema"] == SCHEMA == "repro-bench/4"
-        for key in ("admitted", "rejected", "shed", "brownout_seconds"):
-            assert key in payload["results"]
-        assert payload["results"]["admitted"] + payload["results"][
-            "rejected"
-        ] == 300
-
-
 class TestCLI:
     def test_overload_subcommand_parses(self):
         from repro.cli import build_parser
@@ -222,10 +255,3 @@ class TestCLI:
         assert args.command == "overload"
         assert args.tenants == 3
         assert args.profile == "none"
-
-    def test_bench_accepts_overload_scenario(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "overload_50k", "--tasks", "500"])
-        assert args.scenario == "overload_50k"
-        assert args.tasks == 500

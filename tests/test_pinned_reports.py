@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.telemetry import validate_openmetrics
 
 BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
@@ -92,3 +93,33 @@ def test_report_matches_pinned(argv, pinned, exit_code, capsys):
     out = capsys.readouterr().out
     assert out == (BASELINES / pinned).read_text(encoding="utf-8")
     assert code == exit_code
+
+
+def test_overload_export_validates_and_keeps_stdout_pinned(tmp_path, capsys):
+    # "wrote ..." goes to stderr, so exporting leaves stdout pinned
+    prefix = tmp_path / "overload"
+    code = main(["overload", "fig4", "--seed", "7", "--export", str(prefix)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (BASELINES / "overload-fig4-seed7.txt").read_text(
+        encoding="utf-8"
+    )
+    text = (tmp_path / "overload-openmetrics.txt").read_text(encoding="utf-8")
+    assert validate_openmetrics(text)["families"] > 0
+
+
+def test_recover_dump_dir_resumed_output_equals_baseline(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "recover", "fig4", "--crash-at", "mid-execute", "--dump-dir", "dump",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "IDENTICAL  audit=clean" in out
+    baseline = (tmp_path / "dump" / "baseline.txt").read_text(encoding="utf-8")
+    resumed = (tmp_path / "dump" / "resumed-mid-execute.txt").read_text(
+        encoding="utf-8"
+    )
+    assert resumed == baseline

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import EndpointNotFound
-from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.faas.placement import POLICIES, EndpointPool, RouteDecision, Router
 from repro.faults.plan import FaultPlan, TaskError

@@ -2,7 +2,6 @@
 
 import string
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,7 +201,7 @@ class TestSampleSortProperties:
     @settings(max_examples=60, deadline=None)
     def test_sample_sort_sorts(self, data):
         comm = SimMPI(len(data))
-        chunks = sample_sort_result = __import__(
+        chunks = __import__(
             "repro.apps.kamping.algorithms", fromlist=["sample_sort"]
         ).sample_sort(comm, KampingBindings(comm), data)
         merged = [v for chunk in chunks for v in chunk]

@@ -9,7 +9,7 @@ from repro.shellsim.parsing import (
     split_chain,
     tokenize,
 )
-from repro.shellsim.session import ShellServices, ShellSession
+from repro.shellsim.session import ShellSession
 from repro.shellsim.suites import (
     SuiteContext,
     TestOutcome,

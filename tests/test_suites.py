@@ -1,6 +1,6 @@
 """Tests for the declarative suite framework (spec, resolver, parsers,
-runner, sweep) — including the determinism guarantees the suite-smoke CI
-job relies on."""
+runner, sweep) — including the determinism guarantees the pinned suite
+reports rely on."""
 
 import pytest
 

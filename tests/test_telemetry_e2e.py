@@ -185,6 +185,8 @@ class TestTraceCli:
         assert doc["otherData"]["generator"] == "repro-telemetry"
         assert doc["otherData"]["metrics"]
         assert "workflow trace(s)" in capsys.readouterr().out
+        kinds = {e["cat"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert {"workflow", "job", "step", "task", "node"} <= kinds
 
     def test_trace_report_flag(self, tmp_path, capsys):
         output = tmp_path / "t.json"
