@@ -244,7 +244,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
         format_hedging_report,
         run_fig4_failslow,
     )
-    from repro.experiments.common import FAULT_FREE_PROFILES
+    from repro.faults.profiles import FAULT_FREE_PROFILES
 
     params = HedgingParams(
         seed=args.seed, profile=args.profile, endpoints=args.endpoints
@@ -432,6 +432,7 @@ def _parse_var_overrides(specs: Optional[List[str]]) -> Optional[Dict[str, objec
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     """``repro suite list|show|run`` — the declarative-suite front end."""
+    from repro.faults.profiles import FAULT_FREE_PROFILES
     from repro.suites import (
         SuiteError,
         format_suite_report,
@@ -521,7 +522,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 )
             print(format_sweep_report(sweep))
             return 0 if sweep.ok else 1
-        if args.profile:
+        if args.profile and args.profile not in FAULT_FREE_PROFILES:
             from repro.experiments.chaos import run_suite_chaos
 
             suite_run = run_suite_chaos(
@@ -593,6 +594,9 @@ def _positive(kind: type) -> Callable[[str], float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faas.placement import POLICIES
+    from repro.faults.profiles import FAULT_FREE_PROFILES, PROFILES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -806,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="endpoints in the shared pool (default 4)",
     )
     overload.add_argument(
-        "--hot-factor", type=float, default=8.0,
+        "--hot-factor", type=_positive(float), default=8.0,
         help="hot tenant's offered load as a multiple of fair share",
     )
     overload.add_argument(
@@ -871,13 +875,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--profile", default="",
+        choices=[*sorted(PROFILES), *FAULT_FREE_PROFILES],
         help=(
             "chaos fault profile (e.g. flaky-endpoint); with --permute "
-            "the sweep arms it, otherwise the chaos harness runs the suite"
+            "the sweep arms it, otherwise the chaos harness runs the "
+            "suite; 'none' runs it fault-free"
         ),
     )
     run.add_argument(
-        "--policy", default="pinned",
+        "--policy", default="pinned", choices=sorted(POLICIES),
         help="placement policy for --permute (default pinned)",
     )
     run.add_argument(

@@ -22,17 +22,17 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.fig5_psij import Fig5Result, run_fig5
 from repro.faults.plan import FaultPlan
-from repro.faults.profiles import DOWN_SITE, FLAKY_SITE, build_profile
+from repro.faults.profiles import (
+    CHAOS_RETRY,
+    DOWN_SITE,
+    FLAKY_SITE,
+    build_profile,
+)
 from repro.faults.resilience import BreakerPolicy, RetryPolicy
 from repro.suites import SuiteRun, run_suite
 
-# resilience configuration every chaos run shares: enough attempts to
-# ride out a short outage window, a breaker that opens fast enough for
-# the hard-down site to trip it within one task's retry budget
-CHAOS_RETRY = dict(
-    max_attempts=5, base_delay=5.0, multiplier=2.0, max_delay=120.0,
-    jitter=0.1,
-)
+# a breaker every chaos run shares: it opens fast enough for the
+# hard-down site to trip it within one task's CHAOS_RETRY budget
 CHAOS_BREAKER = BreakerPolicy(failure_threshold=3, reset_timeout=1800.0)
 
 # graceful degradation routing: the flaky site may fail over to the

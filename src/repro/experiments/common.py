@@ -28,10 +28,6 @@ PSIJ_STACK: Dict[str, str] = {
     "pytest": ">=7",
 }
 
-# profile values meaning "no faults": the run arms no fault plan
-FAULT_FREE_PROFILES = ("none", "off")
-
-
 def virtual_work(fctx, seconds: float) -> float:
     """Synthetic task body: burn ``seconds`` of virtual compute."""
     fctx.handle.compute(seconds)

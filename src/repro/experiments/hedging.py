@@ -36,7 +36,7 @@ from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.faas.hedging import HedgeConfig
 from repro.faas.task import TaskState
-from repro.faults.profiles import build_profile
+from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
 from repro.telemetry.metrics import percentile
 from repro.world import World
 
@@ -139,7 +139,7 @@ def run_failslow(
     """One world, one seed, the full fail-slow workload."""
     plan = (
         None
-        if fault_free or params.profile in common.FAULT_FREE_PROFILES
+        if fault_free or params.profile in FAULT_FREE_PROFILES
         else build_profile(params.profile, params.seed)
     )
     world = World(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.chaos import run_fig4_chaos
-from repro.experiments.common import FAULT_FREE_PROFILES
 from repro.experiments.fig4_parsldock import FIG4_SITES, run_fig4
+from repro.faults.profiles import FAULT_FREE_PROFILES
 from repro.telemetry import (
     DEFAULT_WINDOW,
     dashboard_snapshot,

@@ -36,7 +36,7 @@ from repro.faas.overload import (
     OverloadConfig,
 )
 from repro.faas.task import TaskState
-from repro.faults.profiles import build_profile
+from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
 from repro.faults.resilience import RetryPolicy
 from repro.telemetry.metrics import percentile
 from repro.telemetry.slo import overload_slo_pack
@@ -218,7 +218,7 @@ class OverloadRunResult:
 
     @property
     def fault_free(self) -> bool:
-        return self.params.profile in common.FAULT_FREE_PROFILES
+        return self.params.profile in FAULT_FREE_PROFILES
 
 
 def run_overload(
@@ -236,7 +236,7 @@ def run_overload(
     """
     plan = (
         None
-        if params.profile in common.FAULT_FREE_PROFILES
+        if params.profile in FAULT_FREE_PROFILES
         else build_profile(params.profile, params.seed)
     )
     if protection and config is None:

@@ -5,18 +5,19 @@ functions are registered with it, tasks are submitted to it, and results
 are retrieved from it — but it is a thin control-plane core over three
 layers. The **placement plane** (:mod:`repro.faas.placement`) resolves
 pool/site targets to endpoints through pluggable deterministic policies;
-the **resilience plane** (:mod:`repro.faas.pipeline`) composes retry,
+the **resilience plane** (:mod:`repro.faas.pipeline`) runs retry,
 circuit breaking, timeout, failover, replay substitution, and lease
-touching as ordered interceptor middleware; the **overload-protection plane**
-(:mod:`repro.faas.overload`) sits at the head of the interceptor chain
+touching as one fixed chain; the **overload-protection plane**
+(:mod:`repro.faas.overload`) takes the head of that chain when armed
 and applies per-tenant admission quotas, AIMD concurrency limiting,
 retry budgets, and priority load shedding with sampling brownout; the
-**dispatch plane** (:mod:`repro.faas.dispatch`) does per-endpoint FIFO
-ordering and execution, nothing else. Endpoints connect outbound from sites and
-execute tasks on resources provisioned through providers. Multi-user
-endpoints fork per-user endpoints via site identity mapping and enforce
-high-assurance policies and function allow-lists — the security
-machinery CORRECT builds on (§5.1–§5.2).
+**fail-slow plane** (:mod:`repro.faas.hedging`) hedges stragglers from
+inside it; the **dispatch plane** (:mod:`repro.faas.dispatch`) does
+per-endpoint FIFO ordering and execution, nothing else. Endpoints
+connect outbound from sites and execute tasks on resources provisioned
+through providers. Multi-user endpoints fork per-user endpoints via site
+identity mapping and enforce high-assurance policies and function
+allow-lists — the security machinery CORRECT builds on (§5.1–§5.2).
 """
 
 from repro.faas.task import Task, TaskState
@@ -34,7 +35,7 @@ from repro.faas.placement import (
     RouteDecision,
     Router,
 )
-from repro.faas.pipeline import DEFAULT_ORDER, Interceptor, Pipeline
+from repro.faas.pipeline import Pipeline
 from repro.faas.overload import (
     OverloadConfig,
     OverloadController,
@@ -65,8 +66,6 @@ __all__ = [
     "POLICIES",
     "RouteDecision",
     "Router",
-    "DEFAULT_ORDER",
-    "Interceptor",
     "OverloadConfig",
     "OverloadController",
     "PRIORITY_BATCH",

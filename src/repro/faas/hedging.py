@@ -28,8 +28,8 @@ two cooperating pieces, both deterministic in virtual time:
   double-resolution guard is never reachable.
 
 Everything here is off unless the service was built with a
-:class:`HedgeConfig`; with the plane off the interceptor hooks return
-immediately and worlds are byte-identical to an unhedged build. With it
+:class:`HedgeConfig`; with the plane off the pipeline skips its hedge
+step and worlds are byte-identical to an unhedged build. With it
 on, hedge decisions depend only on virtual-time observations, so the
 same seed produces the same hedges, the same winners, and the same
 report bytes.
@@ -204,9 +204,9 @@ class _Race:
 class HedgeController:
     """Runtime state of the fail-slow plane, owned by one service.
 
-    The pipeline's ``hedge`` interceptor is a thin shim onto the hooks
-    here, mirroring how the overload interceptors delegate to the
-    :class:`~repro.faas.overload.OverloadController`.
+    The pipeline calls :meth:`on_dispatched` after the lease heartbeat
+    and :meth:`on_outcome` after the lease and before the breaker, so a
+    losing arm's error never reaches the breaker or retry stages.
     """
 
     def __init__(self, service: "FaaSService", config: HedgeConfig) -> None:

@@ -12,8 +12,9 @@ scenario.  Four mechanisms compose, cheapest first:
    grows on success and halves when queue depth or the windowed
    dispatch p95 breaches a bound.
 3. **Retry budgets** — global and per-tenant ratios of retries to first
-   attempts over a sliding virtual-time window, consulted by the retry
-   interceptor so fault bursts cannot amplify into retry storms.
+   attempts over a sliding virtual-time window, consulted by the
+   pipeline's retry stage so fault bursts cannot amplify into retry
+   storms.
 4. **Shedding with brownout** — tasks carry a priority class; brownout
    degrades span sampling first, then the shedder drops the lowest
    class at pending-depth watermarks, recovering in reverse order.
@@ -261,10 +262,9 @@ class OverloadStats:
 class OverloadController:
     """Runtime state of the plane, owned by one :class:`FaaSService`.
 
-    The pipeline's head interceptors (``admission``, ``concurrency``,
-    ``shed``) are thin shims onto the ``check_*`` methods here; the
-    first stage to set ``sub.rejected`` wins and later stages skip
-    their checks, so one submission consumes at most one verdict.
+    The pipeline calls :meth:`admit` first at submit, then
+    :meth:`on_submitted`, and :meth:`on_outcome` at the head of every
+    outcome; :meth:`allow_retry` gates each retry.
     """
 
     def __init__(self, service: "FaaSService", config: OverloadConfig) -> None:
@@ -291,7 +291,7 @@ class OverloadController:
             config.brownout_sample_rate, seed=config.brownout_seed
         )
 
-    # -- pipeline admit checks ----------------------------------------
+    # -- admission ----------------------------------------------------
 
     def limiter_for(self, key: str) -> AIMDLimiter:
         limiter = self._limiters.get(key)
@@ -307,26 +307,18 @@ class OverloadController:
             )
         return limiter
 
-    def check_admission(self, sub: "SubmitContext") -> None:
-        if sub.rejected:
-            return
+    def admit(self, sub: "SubmitContext") -> None:
+        """Quota, then AIMD, then shed; the first verdict wins."""
         reason = self.quotas.check(sub.tenant, self.service.clock.now)
         if reason:
             sub.rejected = reason
-
-    def check_concurrency(self, sub: "SubmitContext") -> None:
-        if sub.rejected:
-            return
-        if not self.limiter_for(sub.pool or sub.endpoint_id).try_admit():
+        elif not self.limiter_for(sub.pool or sub.endpoint_id).try_admit():
             sub.rejected = "concurrency"
-
-    def check_shed(self, sub: "SubmitContext") -> None:
-        if sub.rejected:
-            return
-        for priority, watermark in self._shed_rules:
-            if sub.priority >= priority and self.pending >= watermark:
-                sub.rejected = "shed"
-                return
+        elif any(
+            sub.priority >= priority and self.pending >= watermark
+            for priority, watermark in self._shed_rules
+        ):
+            sub.rejected = "shed"
 
     # -- lifecycle hooks ----------------------------------------------
 
@@ -394,7 +386,7 @@ class OverloadController:
         self._update_pressure(self.service.clock.now)
 
     def allow_retry(self, task: "Task", now: float) -> bool:
-        """Budget gate for the retry interceptor; consumes on grant."""
+        """Budget gate for the pipeline's retry stage; consumes on grant."""
         scope = self.budget.check(task.identity_urn, now)
         if scope is None:
             self.budget.record_retry(task.identity_urn, now)

@@ -1,49 +1,50 @@
-"""The resilience plane: composable interceptors around bare dispatch.
+"""The resilience plane: one fixed chain of stages around bare dispatch.
 
 Retry, circuit breaking, timeout, failover, replay substitution, and
-lease touching used to be branches inside ``FaaSService.submit`` /
-``_complete`` / ``_EndpointDispatcher.pump``. Here each is an
-:class:`Interceptor` with narrow hooks, and the :class:`Pipeline` runs
-them in an explicit order:
-
-``DEFAULT_ORDER = ("admission", "concurrency", "shed", "replay",
-"lease", "hedge", "breaker", "failover", "timeout", "retry")``
-
-The order is semantic, not cosmetic. The overload plane runs first —
-admission (per-tenant quota), then adaptive concurrency, then priority
-shedding, cheapest verdict first, and all three are no-ops unless the
-service was built with an ``OverloadConfig``. On a completion outcome
-the lease must be touched before the breaker records (a completed task
-is a heartbeat *first*, so ``lease.renewed`` precedes ``breaker.close``),
-the hedge plane settles its race before the breaker records (a losing
-hedge arm's error is suppressed *before* it could trip a breaker, and a
-hedge win moves ``task.endpoint_id`` to the winner so success credits
-the endpoint that produced it), and the breaker must record before the
-retry interceptor decides (so ``breaker.open`` precedes ``task.retry``
-in the event log — the order the chaos reports and journal offsets
-depend on). At submit time the breaker gate runs before failover, which
-reroutes only what the breaker blocked.
-
-Hook map (an interceptor implements only what it needs):
+lease touching each live in one small stage class here. The
+:class:`Pipeline` builds one of each and its seven chain methods call
+them in an order written once, in code. The overload
+(:class:`~repro.faas.overload.OverloadController`) and fail-slow
+(:class:`~repro.faas.hedging.HedgeController`) planes take their place
+in the chain when the service was built with them; otherwise their
+steps are skipped and default worlds are untouched.
 
 =============  =============================================================
-hook           called
+method         chain
 =============  =============================================================
-on_register    when an endpoint registers with the service
-admit          at submit, before the task exists (may retarget or raise)
-on_submitted   after the task is created (events that need a task id)
-on_accepted    after the task is accepted (deadline scheduling)
-wrap_spec      at dispatch, to substitute/instrument the function body
-on_dispatched  when the dispatcher takes the task (heartbeats)
-on_outcome     on every dispatch outcome; return ``True`` = handled
-               (re-queued) — the service must not finalize
+register       lease (grant, or expire an endpoint dead at the crash)
+admit          overload verdict, breaker gate, failover (may retarget/raise)
+submitted      overload bookkeeping, failover event
+accepted       timeout (deadline scheduling)
+wrap_spec      replay (journaled-result substitution or cost capture)
+dispatched     lease heartbeat, hedge deadline
+outcome        overload AIMD, lease, hedge, breaker, retry; ``True`` =
+               handled (re-queued or absorbed) — the service must not
+               finalize
 =============  =============================================================
+
+The order is semantic, not cosmetic. Four rules fix it:
+
+1. **Overload first, breaker before failover.** At submit the overload
+   plane's verdict (quota, then AIMD, then shed) comes first, then the
+   breaker gate, then failover, which reroutes only what the breaker
+   blocked.
+2. **Lease before breaker.** A completed task is a heartbeat *first*,
+   so ``lease.renewed`` precedes ``breaker.close``.
+3. **Hedge before breaker.** The hedge plane settles its race before the
+   breaker records: a losing hedge arm's error is suppressed before it
+   could trip a breaker, and a hedge win moves ``task.endpoint_id`` to
+   the winner so success credits the endpoint that produced it.
+4. **Breaker before retry.** ``breaker.open`` precedes ``task.retry`` in
+   the event log (the order the chaos reports and journal offsets
+   depend on), and the retry sees the breaker it just tripped and fails
+   over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from repro.durability.lease import LeaseRegistry
 from repro.durability.recovery import ReplayIndex, restorer_for
@@ -58,19 +59,6 @@ from repro.faas.task import Task, TaskState
 from repro.faults.resilience import CircuitBreaker
 from repro.util.serialization import deserialize
 
-DEFAULT_ORDER: Tuple[str, ...] = (
-    "admission",
-    "concurrency",
-    "shed",
-    "replay",
-    "lease",
-    "hedge",
-    "breaker",
-    "failover",
-    "timeout",
-    "retry",
-)
-
 
 @dataclass(slots=True)
 class SubmitContext:
@@ -78,7 +66,7 @@ class SubmitContext:
 
     requested: str  # the endpoint the caller targeted
     endpoint_id: str  # where the task is actually going
-    blocked: str = ""  # non-empty = an interceptor vetoed this endpoint
+    blocked: str = ""  # non-empty = the breaker vetoed this endpoint
     failed_over: bool = False
     # overload plane: the submitting tenant's identity URN, the task's
     # priority class, and the routed pool (the AIMD limiter key). A
@@ -90,118 +78,11 @@ class SubmitContext:
     rejected: str = ""
 
 
-class Interceptor:
-    """Base interceptor: every hook is a no-op."""
-
-    name = "interceptor"
+class BreakerInterceptor:
+    """Per-endpoint circuit breakers: gate admission, record outcomes."""
 
     def __init__(self, service) -> None:
         self.service = service
-
-    def on_register(self, endpoint_id: str) -> None:
-        pass
-
-    def admit(self, sub: SubmitContext) -> None:
-        pass
-
-    def on_submitted(self, entry, sub: SubmitContext) -> None:
-        pass
-
-    def on_accepted(self, entry, timeout: Optional[float]) -> None:
-        pass
-
-    def wrap_spec(self, entry, spec: FunctionSpec) -> FunctionSpec:
-        return spec
-
-    def on_dispatched(self, entry, endpoint_id: str) -> None:
-        pass
-
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
-        return False
-
-
-class AdmissionInterceptor(Interceptor):
-    """Per-tenant quota gate plus overload-plane bookkeeping.
-
-    A thin shim: all state lives in the service's
-    :class:`~repro.faas.overload.OverloadController` (the interceptor
-    classes cannot live there — overload.py must stay import-free of
-    this module). With the plane off (``service.overload is None``)
-    every hook returns immediately, so default worlds are untouched.
-    """
-
-    name = "admission"
-
-    def admit(self, sub: SubmitContext) -> None:
-        controller = self.service.overload
-        if controller is not None:
-            controller.check_admission(sub)
-
-    def on_submitted(self, entry, sub: SubmitContext) -> None:
-        controller = self.service.overload
-        if controller is not None:
-            controller.on_submitted(entry, sub)
-
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
-        controller = self.service.overload
-        if controller is not None:
-            controller.on_outcome(entry, error)
-        return False
-
-
-class ConcurrencyInterceptor(Interceptor):
-    """AIMD per-pool concurrency gate (grows on success, halves on load)."""
-
-    name = "concurrency"
-
-    def admit(self, sub: SubmitContext) -> None:
-        controller = self.service.overload
-        if controller is not None:
-            controller.check_concurrency(sub)
-
-
-class ShedInterceptor(Interceptor):
-    """Drop the lowest priority class above pending-depth watermarks."""
-
-    name = "shed"
-
-    def admit(self, sub: SubmitContext) -> None:
-        controller = self.service.overload
-        if controller is not None:
-            controller.check_shed(sub)
-
-
-class HedgeInterceptor(Interceptor):
-    """Speculative hedged execution against fail-slow endpoints.
-
-    A thin shim onto the service's
-    :class:`~repro.faas.hedging.HedgeController` (same pattern as the
-    overload interceptors — hedging.py must stay import-free of this
-    module). With the plane off (``service.hedging is None``) both hooks
-    return immediately, so default worlds are byte-identical.
-    """
-
-    name = "hedge"
-
-    def on_dispatched(self, entry, endpoint_id: str) -> None:
-        controller = self.service.hedging
-        if controller is not None:
-            controller.on_dispatched(entry, endpoint_id)
-
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
-        controller = self.service.hedging
-        if controller is not None:
-            return controller.on_outcome(entry, result, error)
-        return False
-
-
-class BreakerInterceptor(Interceptor):
-    """Per-endpoint circuit breakers: gate admission, record outcomes."""
-
-    name = "breaker"
-
-    def __init__(self, service) -> None:
-        super().__init__(service)
         self.breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker_for(self, endpoint_id: str) -> Optional[CircuitBreaker]:
@@ -232,12 +113,12 @@ class BreakerInterceptor(Interceptor):
         if not allowed:
             sub.blocked = "breaker_open"
 
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
+    def on_outcome(self, entry, error: Optional[BaseException]) -> None:
         task = entry.task
         now = self.service.clock.now
         breaker = self.breaker_for(task.endpoint_id)
         if breaker is None:
-            return False
+            return
         if error is None:
             before = breaker.state
             breaker.record_success(now)
@@ -253,16 +134,13 @@ class BreakerInterceptor(Interceptor):
                 consecutive_failures=breaker.consecutive_failures,
                 trips=breaker.trips,
             )
-        return False
 
 
-class FailoverInterceptor(Interceptor):
+class FailoverInterceptor:
     """Reroute breaker-blocked work to a declared fallback endpoint."""
 
-    name = "failover"
-
     def __init__(self, service) -> None:
-        super().__init__(service)
+        self.service = service
         self.fallbacks: Dict[str, str] = {}
 
     def declare(self, endpoint_id: str, fallback_id: str) -> None:
@@ -305,10 +183,11 @@ class FailoverInterceptor(Interceptor):
         )
 
 
-class TimeoutInterceptor(Interceptor):
+class TimeoutInterceptor:
     """Per-task deadlines over the whole lifetime, retries included."""
 
-    name = "timeout"
+    def __init__(self, service) -> None:
+        self.service = service
 
     def on_accepted(self, entry, timeout: Optional[float]) -> None:
         if timeout is None:
@@ -345,12 +224,13 @@ class TimeoutInterceptor(Interceptor):
         self.service._complete(entry, None, error)
 
 
-class RetryInterceptor(Interceptor):
+class RetryInterceptor:
     """Re-queue retryable failures with deterministic backoff."""
 
-    name = "retry"
+    def __init__(self, service) -> None:
+        self.service = service
 
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
+    def on_outcome(self, entry, error: Optional[BaseException]) -> bool:
         if error is None:
             return False
         service = self.service
@@ -405,13 +285,11 @@ class RetryInterceptor(Interceptor):
         return False
 
 
-class LeaseInterceptor(Interceptor):
+class LeaseInterceptor:
     """Heartbeat leases: task activity keeps an endpoint's lease alive."""
 
-    name = "lease"
-
     def __init__(self, service) -> None:
-        super().__init__(service)
+        self.service = service
         self.registry: Optional[LeaseRegistry] = None
         self.dead: Set[str] = set()
 
@@ -483,24 +361,17 @@ class LeaseInterceptor(Interceptor):
         else:
             self.grant(endpoint_id)
 
-    def on_dispatched(self, entry, endpoint_id: str) -> None:
-        # dispatch is a heartbeat: the endpoint accepted work, so it lives
-        self.renew(endpoint_id)
-
-    def on_outcome(self, entry, result, error: Optional[BaseException]) -> bool:
+    def on_outcome(self, entry, error: Optional[BaseException]) -> None:
         if error is None:
             # a completed task is a heartbeat from its endpoint
             self.renew(entry.task.endpoint_id)
-        return False
 
 
-class ReplayInterceptor(Interceptor):
+class ReplayInterceptor:
     """Write-ahead journal recording and journaled-result replay."""
 
-    name = "replay"
-
     def __init__(self, service) -> None:
-        super().__init__(service)
+        self.service = service
         self.journal = None
         self.index: Optional[ReplayIndex] = None
         # exactly-once audit: keys whose bodies actually ran vs. keys
@@ -508,7 +379,7 @@ class ReplayInterceptor(Interceptor):
         self.executed_keys: Set[str] = set()
         self.replayed_keys: Set[str] = set()
 
-    def wrap_spec(self, entry, spec: FunctionSpec) -> FunctionSpec:
+    def wrap_spec(self, entry) -> FunctionSpec:
         """The spec this dispatch should execute, possibly instrumented.
 
         Replay mode substitutes a journaled-SUCCESS body: the recorded
@@ -521,6 +392,7 @@ class ReplayInterceptor(Interceptor):
         through untouched.
         """
         task = entry.task
+        spec = entry.spec
         record = None
         if self.index is not None:
             record = self.index.replay_record(task.idempotency_key)
@@ -572,110 +444,61 @@ class ReplayInterceptor(Interceptor):
         return body
 
 
-INTERCEPTORS = {
-    cls.name: cls
-    for cls in (
-        AdmissionInterceptor,
-        ConcurrencyInterceptor,
-        ShedInterceptor,
-        ReplayInterceptor,
-        LeaseInterceptor,
-        HedgeInterceptor,
-        BreakerInterceptor,
-        FailoverInterceptor,
-        TimeoutInterceptor,
-        RetryInterceptor,
-    )
-}
-
-
 class Pipeline:
-    """An ordered interceptor chain wrapping the bare dispatch core."""
+    """The fixed resilience chain wrapping the bare dispatch core."""
 
-    def __init__(self, service, order: Tuple[str, ...] = DEFAULT_ORDER) -> None:
-        unknown = [name for name in order if name not in INTERCEPTORS]
-        if unknown:
-            raise ValueError(
-                f"unknown interceptor(s) {unknown}; choices: {sorted(INTERCEPTORS)}"
-            )
+    def __init__(self, service) -> None:
         self.service = service
-        self.order = tuple(order)
-        self.stages = [INTERCEPTORS[name](service) for name in order]
-        self._by_name: Dict[str, Interceptor] = {s.name: s for s in self.stages}
-        # Per-hook chains holding only the stages that actually override
-        # the hook: every chain driver runs per task, and walking six
-        # no-op stages per hook is pure overhead at scale. Computed from
-        # the classes, so behavior is identical by construction.
-        self._admit = self._overriding("admit")
-        self._on_submitted = self._overriding("on_submitted")
-        self._on_accepted = self._overriding("on_accepted")
-        self._wrap_spec = self._overriding("wrap_spec")
-        self._on_dispatched = self._overriding("on_dispatched")
-        self._on_outcome = self._overriding("on_outcome")
-
-    def _overriding(self, hook: str) -> Tuple[Interceptor, ...]:
-        base = getattr(Interceptor, hook)
-        return tuple(
-            s for s in self.stages if getattr(type(s), hook) is not base
-        )
-
-    def __getitem__(self, name: str) -> Interceptor:
-        return self._by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    # named accessors for the stages the service itself must reach
-    @property
-    def breaker(self) -> BreakerInterceptor:
-        return self._by_name["breaker"]
-
-    @property
-    def failover(self) -> FailoverInterceptor:
-        return self._by_name["failover"]
-
-    @property
-    def lease(self) -> LeaseInterceptor:
-        return self._by_name["lease"]
-
-    @property
-    def replay(self) -> ReplayInterceptor:
-        return self._by_name["replay"]
+        self.replay = ReplayInterceptor(service)
+        self.lease = LeaseInterceptor(service)
+        self.breaker = BreakerInterceptor(service)
+        self.failover = FailoverInterceptor(service)
+        self.timeout = TimeoutInterceptor(service)
+        self.retry = RetryInterceptor(service)
 
     # -- chain drivers -------------------------------------------------------
     def register(self, endpoint_id: str) -> None:
-        for stage in self.stages:
-            stage.on_register(endpoint_id)
+        self.lease.on_register(endpoint_id)
 
     def admit(self, sub: SubmitContext) -> SubmitContext:
-        for stage in self._admit:
-            stage.admit(sub)
+        overload = self.service.overload
+        if overload is not None:
+            overload.admit(sub)
+        self.breaker.admit(sub)
+        self.failover.admit(sub)
         return sub
 
     def submitted(self, entry, sub: SubmitContext) -> None:
-        for stage in self._on_submitted:
-            stage.on_submitted(entry, sub)
+        overload = self.service.overload
+        if overload is not None:
+            overload.on_submitted(entry, sub)
+        self.failover.on_submitted(entry, sub)
 
     def accepted(self, entry, timeout: Optional[float]) -> None:
-        for stage in self._on_accepted:
-            stage.on_accepted(entry, timeout)
+        self.timeout.on_accepted(entry, timeout)
 
     def wrap_spec(self, entry) -> FunctionSpec:
-        spec = entry.spec
-        for stage in self._wrap_spec:
-            spec = stage.wrap_spec(entry, spec)
-        return spec
+        return self.replay.wrap_spec(entry)
 
     def dispatched(self, entry, endpoint_id: str) -> None:
-        for stage in self._on_dispatched:
-            stage.on_dispatched(entry, endpoint_id)
+        # dispatch is a heartbeat: the endpoint accepted work, so it lives
+        self.lease.renew(endpoint_id)
+        hedging = self.service.hedging
+        if hedging is not None:
+            hedging.on_dispatched(entry, endpoint_id)
 
     def outcome(self, entry, result: Any, error: Optional[BaseException]) -> bool:
-        """Run the outcome chain; ``True`` means an interceptor re-queued
-        the task and the service must not finalize it."""
+        """Run the outcome chain; ``True`` means the task was re-queued (or
+        a losing hedge arm absorbed) and the service must not finalize it."""
+        service = self.service
         if error is not None:
-            self.service.resilience.count_error(error)
-        for stage in self._on_outcome:
-            if stage.on_outcome(entry, result, error):
-                return True
-        return False
+            service.resilience.count_error(error)
+        overload = service.overload
+        if overload is not None:
+            overload.on_outcome(entry, error)
+        self.lease.on_outcome(entry, error)
+        hedging = service.hedging
+        if hedging is not None and hedging.on_outcome(entry, result, error):
+            return True
+        self.breaker.on_outcome(entry, error)
+        return self.retry.on_outcome(entry, error)

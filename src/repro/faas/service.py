@@ -3,9 +3,11 @@
 After the layered split the service only validates, routes, and wires:
 the **placement plane** (:mod:`repro.faas.placement`) resolves pool/site
 targets through pluggable deterministic policies, the **resilience
-plane** (:mod:`repro.faas.pipeline`) composes retry/breaker/timeout/
-failover/replay/lease as ordered interceptors, and the **dispatch
-plane** (:mod:`repro.faas.dispatch`) does per-endpoint FIFO execution.
+plane** (:mod:`repro.faas.pipeline`) runs retry/breaker/timeout/
+failover/replay/lease as one fixed chain, and the **dispatch plane**
+(:mod:`repro.faas.dispatch`) does per-endpoint FIFO execution. The
+crash-safety API (journal recording, replay, leases) is a thin front on
+the chain's replay and lease stages.
 
 :meth:`FaaSService.submit` returns a
 :class:`~repro.faas.future.TaskFuture` immediately — no virtual time
@@ -21,10 +23,12 @@ from __future__ import annotations
 import itertools
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.auth.oauth import AuthService, SCOPE_COMPUTE
 from repro.durability.journal import task_key_for_payload
+from repro.durability.lease import LeaseRegistry
+from repro.durability.recovery import ReplayIndex
 from repro.errors import (
     AdmissionRejected,
     EndpointNotFound,
@@ -36,13 +40,12 @@ from repro.errors import (
     is_retryable,
 )
 from repro.faas.dispatch import EndpointDispatcher, PendingTask
-from repro.faas.durability import ServiceDurability
 from repro.faas.endpoint import MultiUserEndpoint, UserEndpoint
 from repro.faas.functions import FunctionRegistry
 from repro.faas.future import TaskFuture
 from repro.faas.hedging import HedgeConfig, HedgeController
 from repro.faas.overload import OverloadConfig, OverloadController
-from repro.faas.pipeline import DEFAULT_ORDER, Pipeline, SubmitContext
+from repro.faas.pipeline import Pipeline, SubmitContext
 from repro.faas.placement import EndpointPool, RouteDecision, Router
 from repro.faas.task import Task, TaskState
 from repro.faults.resilience import (
@@ -85,7 +88,7 @@ class BatchRequest:
     priority: int = 1
 
 
-class FaaSService(ServiceDurability):
+class FaaSService:
     """The hybrid cloud service endpoints register with.
 
     :meth:`submit` enqueues and returns a :class:`TaskFuture`;
@@ -104,7 +107,6 @@ class FaaSService(ServiceDurability):
         breaker: Optional[BreakerPolicy] = None,
         offline_policy: str = "raise",
         placement_policy: str = "pinned",
-        pipeline_order: Sequence[str] = DEFAULT_ORDER,
         overload: Optional[OverloadConfig] = None,
         hedge: Optional[HedgeConfig] = None,
     ) -> None:
@@ -123,17 +125,15 @@ class FaaSService(ServiceDurability):
             )
         self.offline_policy = offline_policy
         self.resilience = ResilienceStats()
-        # the overload-protection plane is off unless configured; the
-        # head-of-pipeline interceptors no-op when this is None
+        # the overload-protection and fail-slow planes are off unless
+        # configured; the pipeline skips their steps while they are None
         self.overload: Optional[OverloadController] = (
             OverloadController(self, overload) if overload is not None else None
         )
-        # the fail-slow plane is off unless configured; the hedge
-        # interceptor no-ops when this is None
         self.hedging: Optional[HedgeController] = (
             HedgeController(self, hedge) if hedge is not None else None
         )
-        self.pipeline = Pipeline(self, order=tuple(pipeline_order))
+        self.pipeline = Pipeline(self)
         self._endpoints: Dict[str, Endpoint] = {}
         self._tasks: Dict[str, Task] = {}
         self._futures: Dict[str, TaskFuture] = {}
@@ -286,6 +286,53 @@ class FaaSService(ServiceDurability):
     def breaker_for(self, endpoint_id: str) -> Optional[CircuitBreaker]:
         """The endpoint's circuit breaker (``None`` when breakers are off)."""
         return self.pipeline.breaker.breaker_for(endpoint_id)
+
+    # -- durability (thin delegation to the replay and lease stages) -----------
+    @property
+    def replay_index(self) -> Optional[ReplayIndex]:
+        return self.pipeline.replay.index
+
+    @property
+    def leases(self) -> Optional[LeaseRegistry]:
+        return self.pipeline.lease.registry
+
+    @property
+    def executed_keys(self) -> Set[str]:
+        """Idempotency keys whose bodies actually ran (exactly-once audit)."""
+        return self.pipeline.replay.executed_keys
+
+    @property
+    def replayed_keys(self) -> Set[str]:
+        """Idempotency keys served from journaled results instead."""
+        return self.pipeline.replay.replayed_keys
+
+    def attach_journal(self, journal) -> None:
+        """Switch dispatch into recording mode for ``journal``.
+
+        The journal itself is written by the checkpointer subscribed to
+        the event log; the service only wraps every dispatched body with
+        cost capture (the ``body_elapsed`` a later replay advances by).
+        """
+        self.pipeline.replay.journal = journal
+
+    def enable_replay(self, index: ReplayIndex) -> None:
+        """Recovery mode: journaled-SUCCESS results replace re-execution.
+
+        Replayed bodies advance the clock by the recorded cost, so
+        timing, spans, and events match the uninterrupted run exactly.
+        Dead-lease endpoints come back offline (now and on registration).
+        """
+        self.pipeline.replay.index = index
+        self.pipeline.lease.mark_dead(index.dead_endpoints())
+
+    def enable_leases(self, ttl: float = 3600.0) -> LeaseRegistry:
+        """Turn on heartbeat leases for endpoint liveness.
+
+        Every endpoint (present and future) gets a TTL lease renewed by
+        task activity; expiry marks it offline and fails in-flight work
+        retryably, so the retry/breaker/failover path takes over.
+        """
+        return self.pipeline.lease.enable(ttl)
 
     def fail_inflight(
         self, endpoint_id: str, error: BaseException
@@ -530,8 +577,8 @@ class FaaSService(ServiceDurability):
     ) -> None:
         """Absorb one dispatch outcome through the resilience pipeline.
 
-        An interceptor that re-queues the task reports it handled and
-        the future stays pending; otherwise the task finalizes here.
+        A stage that re-queues the task reports it handled and the
+        future stays pending; otherwise the task finalizes here.
         """
         if self.pipeline.outcome(entry, result, error):
             return

@@ -167,7 +167,7 @@ def fail_slow(seed: int) -> FaultPlan:
     id; on a singleton site the member index clamps so the sole endpoint
     degrades instead), stretching its service times 3–6x for most of the
     run. This is the profile the straggler detector and the hedge
-    interceptor are built against.
+    controller are built against.
     """
     rng = random.Random(seed)
     plan = FaultPlan(seed=seed, profile="fail-slow")
@@ -191,6 +191,17 @@ PROFILES: Dict[str, Callable[[int], FaultPlan]] = {
     "overload": overload,
     "fail-slow": fail_slow,
 }
+
+
+# profile names meaning "no faults": the run arms no fault plan
+FAULT_FREE_PROFILES = ("none", "off")
+
+# the retry policy every profiled run shares (the chaos harness and suite
+# sweeps): enough attempts to ride out a short outage window
+CHAOS_RETRY = dict(
+    max_attempts=5, base_delay=5.0, multiplier=2.0, max_delay=120.0,
+    jitter=0.1,
+)
 
 
 def build_profile(name: str, seed: int) -> FaultPlan:

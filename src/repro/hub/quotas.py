@@ -4,9 +4,9 @@ The hub is where tenant identity lives (MEP identity mapping hands every
 submission an identity URN), so the hub also owns the *policy* side of
 admission control: how fast each tenant may submit and how much of the
 pool it may hold at once.  The FaaS overload controller consults a
-:class:`QuotaRegistry` at the head of the interceptor pipeline and turns
-a non-empty verdict into a typed ``AdmissionRejected`` on the task's
-future.
+:class:`QuotaRegistry` first in its admission verdict, at the head of
+the resilience chain, and turns a non-empty verdict into a typed
+``AdmissionRejected`` on the task's future.
 
 Everything here is virtual-time deterministic: token buckets refill from
 the simulation clock passed in by the caller, never from wall time, so

@@ -19,17 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.faults.profiles import CHAOS_RETRY, FAULT_FREE_PROFILES, build_profile
 from repro.suites.parsers import make_parser
 from repro.suites.runner import InstanceResult, PreparedSuite, prepare_suite
 from repro.suites.spec import SuiteSpec, load_suite
-
-# resilience defaults for profiled sweeps, mirroring the chaos harness;
-# a suite's top-level ``retry:`` block overrides them
-SWEEP_RETRY = dict(
-    max_attempts=5, base_delay=5.0, multiplier=2.0, max_delay=120.0,
-    jitter=0.1,
-)
-
 
 @dataclass
 class SweepResult:
@@ -87,15 +80,14 @@ def run_sweep(
 
     spec = load_suite(spec)
     plan = None
-    if profile and profile not in ("none", "off"):
-        from repro.faults.profiles import build_profile
-
+    if profile and profile not in FAULT_FREE_PROFILES:
         plan = build_profile(profile, seed)
     retry_policy = None
     if plan is not None:
         from repro.faults.resilience import RetryPolicy
 
-        retry_policy = RetryPolicy(seed=seed, **(spec.retry or SWEEP_RETRY))
+        # a suite's top-level ``retry:`` block overrides the chaos default
+        retry_policy = RetryPolicy(seed=seed, **(spec.retry or CHAOS_RETRY))
 
     prepared = prepare_suite(
         spec,

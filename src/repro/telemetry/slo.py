@@ -22,6 +22,7 @@ alert timeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,8 +53,16 @@ class Objective:
     def __post_init__(self) -> None:
         if self.kind not in ("latency", "ratio"):
             raise ValueError(f"unknown objective kind: {self.kind!r}")
-        if self.threshold <= 0:
-            raise ValueError("objective threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(
+                f"objective threshold must be finite and positive, "
+                f"got {self.threshold!r}"
+            )
+        if self.kind == "ratio" and self.threshold > 1:
+            raise ValueError(
+                f"ratio objective threshold must be at most 1, "
+                f"got {self.threshold!r}"
+            )
         if self.kind == "latency" and not self.series:
             raise ValueError("latency objective needs a series name")
         if self.kind == "ratio" and not (self.numerator and self.denominator):

@@ -124,6 +124,17 @@ INVALID_INPUTS = [
     (["suite", "run", "fig4-sweep", "--permute", "--pool-size", "0"],
      "--pool-size"),
     (["obs", "fig4", "--window", "0"], "--window"),
+    (["suite", "run", "fig4", "--profile", "bogus"], "--profile"),
+    (["suite", "run", "fig4-sweep", "--permute", "--profile", "bogus"],
+     "--profile"),
+    (["suite", "run", "fig4", "--policy", "bogus", "--permute"], "--policy"),
+    (["suite", "run", "fig4", "--policy", "bogus"], "--policy"),
+    (["overload", "fig4", "--hot-factor", "-2"], "--hot-factor"),
+    (["overload", "fig4", "--hot-factor", "nan"], "--hot-factor"),
+    (["obs", "fig4", "--slo", "error-rate=nan"], "threshold"),
+    (["obs", "fig4", "--slo", "error-rate=2"], "threshold"),
+    (["obs", "fig4", "--slo", "p95-latency=nan"], "threshold"),
+    (["obs", "fig4", "--slo", "p95-latency=inf"], "threshold"),
 ]
 
 

@@ -462,18 +462,6 @@ class TestRecovery:
         assert task.replayed is False
         assert task.idempotency_key in world2.faas.executed_keys
 
-    def test_recover_classmethod_builds_replaying_service(self):
-        from repro.faas.service import FaaSService
-
-        journal, _ = self._journaled_run()
-        clock = SimClock()
-        from repro.auth.oauth import AuthService
-
-        service = FaaSService.recover(journal, clock, AuthService(clock))
-        assert service.replay_index is not None
-        assert service.replay_index.head_hash == journal.head_hash
-        assert len(service.replay_index.completed_success()) == 1
-
     def test_replay_index_classifies_orphans_and_dead_leases(self):
         journal = Journal()
         journal.append(

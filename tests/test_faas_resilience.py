@@ -14,8 +14,9 @@ from repro.executor.providers import SlurmProvider
 from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.faas.future import Future
+from repro.faas.hedging import HedgeConfig
 from repro.faas.task import TaskState
-from repro.faults.plan import FaultPlan, TaskError
+from repro.faults.plan import FaultPlan, PerfDegradation, TaskError
 from repro.faults.resilience import BreakerPolicy, RetryPolicy
 from repro.sites.catalog import make_faster
 from repro.util.clock import SimClock
@@ -319,6 +320,101 @@ class TestBreakersAndFailover:
             "faas.breaker.transitions", endpoint=primary, state="open"
         )
         assert transitions.value == 1
+
+    def test_breaker_records_before_retry_decides(self):
+        """The second failure opens the breaker before the retry stage
+        runs, so that very retry fails over instead of burning a third
+        attempt on the dead primary."""
+        world, client, primary, fallback = self._two_site_world(
+            offline_policy="queue",
+            retry_policy=RetryPolicy(max_attempts=4, base_delay=1.0, seed=3),
+            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=3600.0),
+        )
+        world.faas.declare_fallback(primary, fallback)
+        world.faas.endpoint(primary).online = False
+        fid = client.register_function(_quick, "quick")
+        future = client.submit(primary, fid)
+        assert future.result() == 42
+        assert [
+            event.kind for event in world.events
+            if event.kind in ("task.retry", "breaker.open")
+        ] == ["task.retry", "breaker.open", "task.retry"]
+        task = world.faas.get_task(future.task_id)
+        assert task.endpoint_id == fallback and task.attempts == 3
+
+
+class TestChainOrder:
+    """The outcome chain renews the lease and settles hedge races before
+    the breaker records (``TestBreakersAndFailover`` pins breaker before
+    retry)."""
+
+    def test_lease_renews_before_breaker_closes(self):
+        world = make_world(
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=10.0)
+        )
+        world.install_faults(
+            FaultPlan(seed=1).add(
+                TaskError(at=0.0, site="chameleon", count=1, transient=True)
+            )
+        )
+        client, eid = cloud_endpoint(world)
+        world.faas.enable_leases(ttl=500.0)
+        world.arm_faults()
+        fid = client.register_function(_quick, "quick")
+        assert isinstance(client.submit(eid, fid).exception(), TaskFailed)
+        assert world.faas.breaker_for(eid).state == "open"
+        world.clock.run_until(world.clock.now + 10.0)  # past the reset
+        probe = client.submit(eid, fid)  # half-opens the breaker
+        assert probe.result() == 42
+        # the probe's dispatch heartbeat, its completion heartbeat, then
+        # the breaker closing on that same completion
+        half_open = world.events.last("breaker.half_open").time
+        after_probe = [
+            event.kind for event in world.events
+            if event.time >= half_open
+            and event.kind in ("lease.renewed", "breaker.close")
+        ]
+        assert after_probe == [
+            "lease.renewed", "lease.renewed", "breaker.close",
+        ]
+
+    def test_losing_hedge_arm_never_reaches_the_breaker(self):
+        world = make_world(
+            placement_policy="least-loaded",
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=3600.0),
+            hedge=HedgeConfig(min_samples=2),
+        )
+        user = world.register_user("alice", {"chameleon": "cc"})
+        members = [
+            mep.endpoint_id
+            for mep in common.deploy_site_mep_pool(world, "chameleon", 2)
+        ]
+        client = ComputeClient(world.faas, user.client_id, user.client_secret)
+        fid = client.register_function(common.virtual_work, "work")
+        for warmup in [client.submit("chameleon", fid, 1.0) for _ in range(2)]:
+            warmup.result()  # the pooled samples that arm hedging
+        future = client.submit("chameleon", fid, 3.0)
+        slow = future.task.endpoint_id
+        # the routed member runs 10x slow, so its task is hedged; the
+        # next execution after the primary's dispatch is the hedge arm,
+        # and it fails. A fault's ``member`` counts sorted endpoint ids.
+        world.install_faults(
+            FaultPlan(seed=1)
+            .add(
+                PerfDegradation(
+                    at=0.0, site="chameleon", duration=500.0,
+                    multiplier=10.0, member=sorted(members).index(slow),
+                )
+            )
+            .add(TaskError(at=5.0, site="chameleon", count=1, transient=True))
+        )
+        world.arm_faults()
+        while not world.events.query("faas", "hedge.lost"):
+            world.clock.run_until(world.clock.next_event_time())
+        assert world.faas.breaker_for(slow).consecutive_failures == 0
+        assert future.result() == 3.0
+        assert not world.events.query("faas", "breaker.open")
+        assert world.faas.get_task(future.task_id).endpoint_id == slow
 
 
 class TestPilotReprovision:

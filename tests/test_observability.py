@@ -66,6 +66,23 @@ class TestObjective:
             Objective(
                 name="x", kind="ratio", threshold=1.0, numerator="only",
             )
+        for threshold in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                Objective(
+                    name="x", kind="latency", threshold=threshold,
+                    series="wait",
+                )
+        with pytest.raises(ValueError, match="at most 1"):
+            Objective(
+                name="x", kind="ratio", threshold=1.5,
+                numerator="err", denominator="all",
+            )
+        # an error rate of exactly 1 and a latency above 1 are legal
+        Objective(
+            name="x", kind="ratio", threshold=1.0,
+            numerator="err", denominator="all",
+        )
+        Objective(name="x", kind="latency", threshold=5400.0, series="wait")
 
 
 class TestSLOEngine:

@@ -29,6 +29,13 @@ PINNED = [
         "fig4-pinned.txt",
         0,
     ),
+    # a fault-free profile runs the plain suite
+    (
+        "suite-fig4-none",
+        ["suite", "run", "suites/fig4.yaml", "--seed", "7", "--profile", "none"],
+        "fig4-pinned.txt",
+        0,
+    ),
     ("chaos-fig4-seed7", ["chaos", "fig4", "--seed", "7"],
      "chaos-fig4-seed7.txt", 0),
     ("chaos-fig5", ["chaos", "fig5"], "chaos-fig5.txt", 0),
