@@ -37,6 +37,8 @@ report bytes.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, TYPE_CHECKING
 from collections import deque
@@ -47,11 +49,13 @@ from repro.telemetry.metrics import percentile
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faas.service import FaaSService
 
-# A deadline check that fires while the clock is transiently inside a
-# task body's measure() region must defer (see _deadline_fired); this is
-# the re-check step. Coarse on purpose: a region spanning S virtual
-# seconds costs O(S / step) no-op events, and sub-second precision buys
-# nothing when deadlines are tens of seconds.
+# A deadline check that can still act but fires while the clock is
+# transiently inside a task body's measure() region must defer (see
+# _deadline_fired); this is the re-check step. Checks that can never act
+# are dropped before deferring, so only live ones pay it. Coarse on
+# purpose: a region spanning S virtual seconds costs O(S / step)
+# re-checks per live check, and sub-second precision buys nothing when
+# deadlines are tens of seconds.
 _REGION_RETRY_SECONDS = 1.0
 
 
@@ -74,6 +78,66 @@ class HedgeConfig:
     flag_ratio: float = 2.0  # endpoint p95 / pool median p95 that flags
     detector_min_samples: int = 5  # per-endpoint floor before flagging
 
+    def __post_init__(self) -> None:
+        # Each bad value either raises out of a later drain (a percentile
+        # of an empty window, a rank past its end) or silently disables
+        # the plane. NaN fails every comparison, so the range checks
+        # below refuse it too.
+        _require(0 < self.quantile <= 100, "quantile", "in (0, 100]",
+                 self.quantile)
+        _require(_positive_finite(self.factor), "factor",
+                 "finite and positive", self.factor)
+        _require(self.min_samples >= 1, "min_samples", "at least 1",
+                 self.min_samples)
+        _require(math.isfinite(self.min_deadline) and self.min_deadline >= 0,
+                 "min_deadline", "finite and non-negative", self.min_deadline)
+        _require(_positive_finite(self.window), "window",
+                 "finite and positive", self.window)
+        _require(_positive_finite(self.detector_window), "detector_window",
+                 "finite and positive", self.detector_window)
+        _require(self.detector_min_samples >= 1, "detector_min_samples",
+                 "at least 1", self.detector_min_samples)
+        _require(math.isfinite(self.flag_ratio) and self.flag_ratio > 1,
+                 "flag_ratio", "finite and above 1", self.flag_ratio)
+
+
+def _require(ok: bool, name: str, rule: str, value: object) -> None:
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
+class _SampleWindow:
+    """One endpoint's samples in arrival order, plus their sorted values.
+
+    ``arrivals`` holds ``(now, elapsed)`` pairs in record order, the
+    order a prune pops them; ``ordered`` holds the same elapsed values
+    sorted, so a percentile is an index rather than a sort. ``insort``
+    places a value after its equals and a prune deletes the first equal
+    value, which is the sample just popped: equal values stay in arrival
+    order, exactly as a stable sort of ``arrivals`` leaves them.
+    """
+
+    __slots__ = ("arrivals", "ordered")
+
+    def __init__(self) -> None:
+        self.arrivals: Deque = deque()
+        self.ordered: List[float] = []
+
+    def add(self, now: float, elapsed: float) -> None:
+        self.arrivals.append((now, elapsed))
+        insort(self.ordered, elapsed)
+
+    def prune(self, floor: float) -> None:
+        """Pop samples off the front while they were recorded before ``floor``."""
+        arrivals = self.arrivals
+        ordered = self.ordered
+        while arrivals and arrivals[0][0] < floor:
+            del ordered[bisect_left(ordered, arrivals.popleft()[1])]
+
 
 class StragglerDetector:
     """Per-endpoint service-time baselines and gray-failure scores.
@@ -83,6 +147,12 @@ class StragglerDetector:
     observations. Scores are relative (endpoint p95 against the pool
     median p95), so a uniformly slow pool is *not* gray: gray failure is
     one member diverging from its peers.
+
+    Each endpoint's window is pruned when it is recorded into or read,
+    and it keeps its values sorted as they arrive and leave, so
+    :meth:`p95` is an O(1) index after the prune. It returns the same
+    nearest-rank element :func:`~repro.telemetry.metrics.percentile`
+    picks from the window.
     """
 
     def __init__(
@@ -91,40 +161,36 @@ class StragglerDetector:
         flag_ratio: float = 2.0,
         min_samples: int = 5,
     ) -> None:
-        if flag_ratio <= 1.0:
-            raise ValueError(
-                f"flag_ratio must exceed 1.0, got {flag_ratio}"
-            )
+        _require(_positive_finite(window), "window", "finite and positive",
+                 window)
+        _require(math.isfinite(flag_ratio) and flag_ratio > 1.0,
+                 "flag_ratio", "finite and above 1.0", flag_ratio)
+        # p95 indexes the sorted window, which needs at least one sample
+        _require(min_samples >= 1, "min_samples", "at least 1", min_samples)
         self.window = window
         self.flag_ratio = flag_ratio
         self.min_samples = min_samples
-        self._samples: Dict[str, Deque] = {}
+        self._samples: Dict[str, _SampleWindow] = {}
 
     def record(self, endpoint_id: str, elapsed: float, now: float) -> None:
         """Observe one completed dispatch's service time."""
-        bucket = self._samples.get(endpoint_id)
-        if bucket is None:
-            bucket = self._samples[endpoint_id] = deque()
-        bucket.append((now, elapsed))
-        self._prune(bucket, now)
-
-    def _prune(self, bucket: Deque, now: float) -> None:
-        floor = now - self.window
-        while bucket and bucket[0][0] < floor:
-            bucket.popleft()
-
-    def endpoints(self) -> List[str]:
-        return sorted(self._samples)
+        samples = self._samples.get(endpoint_id)
+        if samples is None:
+            samples = self._samples[endpoint_id] = _SampleWindow()
+        samples.add(now, elapsed)
+        samples.prune(now - self.window)
 
     def p95(self, endpoint_id: str, now: float) -> Optional[float]:
         """Recent p95 service time; None below the sample floor."""
-        bucket = self._samples.get(endpoint_id)
-        if bucket is None:
+        samples = self._samples.get(endpoint_id)
+        if samples is None:
             return None
-        self._prune(bucket, now)
-        if len(bucket) < self.min_samples:
+        samples.prune(now - self.window)
+        ordered = samples.ordered
+        if len(ordered) < self.min_samples:
             return None
-        return percentile([elapsed for _, elapsed in bucket], 95.0)
+        # the nearest rank percentile(values, 95.0) computes
+        return ordered[max(1, math.ceil(95.0 / 100.0 * len(ordered))) - 1]
 
     def pool_median(self, now: float) -> Optional[float]:
         """Median of the per-endpoint p95s (endpoints above the floor)."""
@@ -355,7 +421,22 @@ class HedgeController:
     def _deadline_fired(
         self, entry: PendingTask, generation: int, deadline: float
     ) -> None:
-        """The primary is still running past its deadline: hedge it."""
+        """The primary is still running past its deadline: hedge it.
+
+        A check that can never act is dropped first, inside a measured
+        region or not: its attempt was superseded (abort + retry
+        re-dispatched the entry and armed its own deadline), its task
+        reached a terminal state, or its task is already hedged. All
+        three only ever become true, so deferring such a check would
+        only re-arm it until it fell through to a no-op.
+        """
+        task = entry.task
+        if (
+            entry.attempt != generation
+            or task.state.is_terminal
+            or task.hedged
+        ):
+            return
         service = self.service
         if service.clock.in_measured_region:
             # The check fired at *speculative* time: some task body is
@@ -368,10 +449,6 @@ class HedgeController:
                 _REGION_RETRY_SECONDS,
                 lambda: self._deadline_fired(entry, generation, deadline),
             )
-            return
-        if entry.attempt != generation:
-            # the check outlived its attempt (abort + retry re-dispatched
-            # the entry); the retry armed its own deadline
             return
         self._launch_hedge(entry, deadline=deadline, reason="deadline")
 

@@ -114,20 +114,29 @@ class LeastLoadedPolicy(PlacementPolicy):
     :attr:`Router.health_of`), equal queue depths are broken by the
     *higher* health score before falling back to registration order —
     so among idle members the one that has not been failing lately
-    wins. Without one the key is depth alone, and routing is
-    byte-identical to the pre-observability behavior.
+    wins. Only the members tied at the lowest depth are scored, since
+    no deeper member can win whatever its health: the pick equals
+    ``min(members, key=lambda e: (depth(e), -health(e)))`` at a fraction
+    of the scoring. Without a health source the key is depth alone, and
+    routing is byte-identical to the pre-observability behavior.
     """
 
     name = "least-loaded"
 
     def choose(self, pool: EndpointPool, members: List[str], router: "Router") -> str:
+        depths = [router.queue_depth(eid) for eid in members]
+        lowest = min(depths)
+        tied = [eid for eid, depth in zip(members, depths) if depth == lowest]
         health_of = router.health_of
         if health_of is None:
-            return min(members, key=lambda eid: (router.queue_depth(eid),))
-        return min(
-            members,
-            key=lambda eid: (router.queue_depth(eid), -health_of(eid)),
-        )
+            return tied[0]
+        # Score even a lone tied member: with the hedging plane attached a
+        # score reads the straggler detector, which prunes every endpoint's
+        # window at ``now``. One score prunes exactly what scoring every
+        # member did, so a read after a measured region rewinds the clock
+        # still sees the same windows. max() keeps the first of equal
+        # scores, which is registration order.
+        return max(tied, key=health_of)
 
 
 class WeightedPolicy(PlacementPolicy):

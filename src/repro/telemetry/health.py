@@ -20,11 +20,17 @@ The score is intentionally simple and fully deterministic:
 * scaled by ``1 - gray_score`` when a straggler detector is attached
   (``gray_of``): a fail-slow endpoint succeeds at everything, so
   success rate and breaker level never catch it — the gray score is
-  the only health signal a slow-but-alive member produces.
+  the only health signal a slow-but-alive member produces. Reading a
+  gray score prunes every window of the detector at ``now``: with a
+  detector attached, scoring still never writes a series, but it does
+  change the detector.
 
 The ``least-loaded`` router can consume scores as an optional
-tie-breaker (prefer the healthier endpoint among equally-loaded ones);
-with no scorer attached routing is byte-identical to before.
+tie-breaker (prefer the healthier endpoint among equally-loaded ones).
+It scores only the members tied at the lowest queue depth, and always at
+least one, so the detector's windows are pruned at every decision just
+as when every member was scored. With no scorer attached routing is
+byte-identical to before.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """The fail-slow plane: detection, hedging, cancellation, determinism."""
 
+import math
+
 import pytest
 
 from repro.errors import TaskCancelled
@@ -170,6 +172,22 @@ class TestStragglerDetector:
         with pytest.raises(ValueError):
             StragglerDetector(flag_ratio=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window", 0.0),
+            ("window", -5.0),
+            ("window", math.inf),
+            ("window", math.nan),
+            ("flag_ratio", math.nan),
+            ("flag_ratio", math.inf),
+            ("min_samples", 0),
+        ],
+    )
+    def test_bad_value_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            StragglerDetector(**{field: value})
+
 
 class TestGrayHealthRouting:
     def test_gray_score_scales_health(self):
@@ -282,6 +300,78 @@ class TestHedgeConfigOffByDefault:
         world = World(hedge=HedgeConfig())
         assert world.faas.hedging is not None
         assert world.faas.hedging.config.factor == 1.5
+
+
+def _pool_client(world: World, size: int = 3):
+    user = world.register_user("alice", {"chameleon": "cc"})
+    common.deploy_site_mep_pool(world, "chameleon", size)
+    client = ComputeClient(world.faas, user.client_id, user.client_secret)
+    return client, client.register_function(_compute, "compute")
+
+
+class TestHedgeConfigValidation:
+    # accepted, each of these would raise out of the drain at the first
+    # dispatch or silently keep the plane from hedging
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quantile", 0.0),
+            ("quantile", 150.0),
+            ("quantile", math.nan),
+            ("factor", -1.0),
+            ("factor", math.nan),
+            ("min_samples", 0),
+            ("min_deadline", -1.0),
+            ("min_deadline", math.inf),
+            ("window", 0.0),
+            ("window", math.nan),
+            ("detector_window", 0.0),
+            ("detector_window", math.inf),
+            ("detector_min_samples", 0),
+            ("flag_ratio", 1.0),
+            ("flag_ratio", math.nan),
+            ("flag_ratio", math.inf),
+        ],
+    )
+    def test_bad_value_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            HedgeConfig(**{field: value})
+
+    def test_smallest_legal_values_drain_a_pool(self):
+        config = HedgeConfig(
+            quantile=100.0, min_samples=1, min_deadline=0.0,
+            detector_min_samples=1,
+        )
+        world = World(placement_policy="least-loaded", hedge=config)
+        client, fid = _pool_client(world)
+        futures = [client.submit("chameleon", fid, 2.0) for _ in range(6)]
+        world.clock.run_until_idle()
+        assert [f.result() for f in futures] == [2.0] * 6
+
+
+class TestDeadDeadlineChecks:
+    """A deadline check that can never act is dropped, not deferred."""
+
+    @pytest.mark.parametrize("dead", ["terminal", "superseded", "hedged", None])
+    def test_inside_a_measured_region(self, dead):
+        world = World(placement_policy="least-loaded", hedge=HedgeConfig())
+        client, fid = _pool_client(world)
+        future = client.submit("chameleon", fid, 30.0)
+        entry = world.faas._entries[future.task_id]
+        generation = entry.attempt
+        if dead == "terminal":
+            entry.task.state = TaskState.SUCCESS
+        elif dead == "superseded":
+            entry.attempt += 1
+        elif dead == "hedged":
+            entry.task.hedged = True
+        clock = world.clock
+        with clock.measure():
+            before = clock.pending_events()
+            world.faas.hedging._deadline_fired(entry, generation, 30.0)
+            scheduled = clock.pending_events() - before
+        # a check that can still act keeps deferring to committed time
+        assert scheduled == (0 if dead else 1)
 
 
 class TestExecutionRecordHedgeProvenance:

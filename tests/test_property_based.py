@@ -1,15 +1,19 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import string
+from collections import deque
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kamping.bindings import KampingBindings
 from repro.apps.kamping.mpi import SimMPI
 from repro.core.workflow_builder import render_yaml
 from repro.envs.packages import Version, VersionSpec
+from repro.faas.hedging import StragglerDetector
+from repro.faas.placement import EndpointPool, Router
 from repro.sites.filesystem import SimFileSystem
+from repro.telemetry.metrics import percentile
 from repro.util import yamlite
 from repro.util.clock import SimClock
 from repro.util.serialization import deserialize, serialize
@@ -340,3 +344,157 @@ class TestExpressionProperties:
 
         context = {"secrets": {"X": value}}
         assert interpolate("${{ secrets.X }}", context) == value
+
+
+class TestLeastLoadedProperties:
+    """Scoring only the tied members picks what scoring all of them did."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0]),
+                    st.floats(min_value=0.0, max_value=1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        with_health=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pick_matches_min_over_all_members(self, rows, with_health):
+        members = [f"e{i}" for i in range(len(rows))]
+        depth = {eid: d for eid, (d, _) in zip(members, rows)}
+        health = {eid: h for eid, (_, h) in zip(members, rows)}
+        scored = []
+
+        def health_of(eid):
+            scored.append(eid)
+            return health[eid]
+
+        router = Router(
+            queue_depth=depth.__getitem__,
+            admissible=lambda eid: True,
+            weight_of=lambda eid: 1.0,
+            policy="least-loaded",
+            health_of=health_of if with_health else None,
+        )
+        pool = EndpointPool(name="p")
+        for eid in members:
+            pool.add(eid)
+        router.register_pool(pool)
+        chosen = router.resolve("p").endpoint_id
+        if not with_health:
+            assert chosen == min(members, key=lambda e: (depth[e],))
+            return
+        assert chosen == min(members, key=lambda e: (depth[e], -health[e]))
+        # exactly the members at the lowest depth are scored, once each,
+        # and always at least one (a score prunes the detector windows)
+        lowest = min(depth.values())
+        assert scored == [eid for eid in members if depth[eid] == lowest]
+
+
+class _NaiveDetector:
+    """The straggler detector as plain deques re-sorted on every read."""
+
+    def __init__(self, window, flag_ratio, min_samples):
+        self.window = window
+        self.flag_ratio = flag_ratio
+        self.min_samples = min_samples
+        self.samples = {}
+
+    def _prune(self, bucket, now):
+        floor = now - self.window
+        while bucket and bucket[0][0] < floor:
+            bucket.popleft()
+
+    def record(self, endpoint_id, elapsed, now):
+        bucket = self.samples.setdefault(endpoint_id, deque())
+        bucket.append((now, elapsed))
+        self._prune(bucket, now)
+
+    def p95(self, endpoint_id, now):
+        bucket = self.samples.get(endpoint_id)
+        if bucket is None:
+            return None
+        self._prune(bucket, now)
+        if len(bucket) < self.min_samples:
+            return None
+        return percentile([elapsed for _, elapsed in bucket], 95.0)
+
+    def pool_median(self, now):
+        values = sorted(
+            p95 for p95 in (self.p95(eid, now) for eid in self.samples)
+            if p95 is not None
+        )
+        if not values:
+            return None
+        mid = len(values) // 2
+        if len(values) % 2:
+            return values[mid]
+        return (values[mid - 1] + values[mid]) / 2.0
+
+    def gray_score(self, endpoint_id, now):
+        own = self.p95(endpoint_id, now)
+        median = self.pool_median(now)
+        ratio = (
+            1.0 if own is None or median is None or median <= 0
+            else own / median
+        )
+        score = (ratio - 1.0) / (self.flag_ratio - 1.0)
+        return min(1.0, max(0.0, score))
+
+
+# (operation, endpoint, elapsed, clock step): a negative step reads or
+# records at an earlier time than the operation before it (a rewound
+# measured region), and a 250 s step empties a 100 s window
+_detector_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["record", "record", "p95", "pool_median", "gray_score"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(
+            st.sampled_from([1.0, 2.0, 10.0, 40.0]),
+            st.floats(min_value=0.0, max_value=50.0),
+        ),
+        st.one_of(st.integers(min_value=-40, max_value=60), st.just(250)),
+    ),
+    max_size=80,
+)
+
+
+class TestStragglerDetectorProperties:
+    """Sorted windows read exactly what a re-sorted deque reads."""
+
+    @given(ops=_detector_ops, min_samples=st.integers(min_value=1, max_value=4))
+    @example(
+        ops=[
+            ("record", "a", 2.0, 0), ("record", "a", 2.0, 1),
+            ("record", "b", 40.0, 1), ("record", "a", 1.0, 1),
+            ("p95", "a", 0.0, -2), ("record", "a", 2.0, -1),
+            ("gray_score", "b", 0.0, 5), ("p95", "a", 0.0, 250),
+            ("pool_median", "a", 0.0, 0), ("record", "b", 10.0, -30),
+            ("gray_score", "a", 0.0, -40),
+        ],
+        min_samples=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reads_match_naive_model(self, ops, min_samples):
+        detector = StragglerDetector(
+            window=100.0, flag_ratio=2.0, min_samples=min_samples
+        )
+        naive = _NaiveDetector(100.0, 2.0, min_samples)
+        now = 0.0
+        for op, endpoint_id, elapsed, step in ops:
+            now += step
+            if op == "record":
+                detector.record(endpoint_id, elapsed, now)
+                naive.record(endpoint_id, elapsed, now)
+            elif op == "pool_median":
+                assert detector.pool_median(now) == naive.pool_median(now)
+            else:
+                read = getattr(detector, op)(endpoint_id, now)
+                assert read == getattr(naive, op)(endpoint_id, now)
+        for endpoint_id in ("a", "b", "c"):
+            assert detector.p95(endpoint_id, now) == naive.p95(endpoint_id, now)
