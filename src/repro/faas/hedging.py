@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from collections import deque
 
 from repro.faas.dispatch import PendingTask
@@ -131,12 +131,22 @@ class _SampleWindow:
         self.arrivals.append((now, elapsed))
         insort(self.ordered, elapsed)
 
-    def prune(self, floor: float) -> None:
-        """Pop samples off the front while they were recorded before ``floor``."""
+    def prune(self, floor: float) -> int:
+        """Pop samples off the front while they were recorded before
+        ``floor``; return how many were popped."""
         arrivals = self.arrivals
         ordered = self.ordered
+        popped = 0
         while arrivals and arrivals[0][0] < floor:
             del ordered[bisect_left(ordered, arrivals.popleft()[1])]
+            popped += 1
+        return popped
+
+    def p95(self) -> float:
+        """The nearest-rank p95 of a non-empty window: the element
+        :func:`~repro.telemetry.metrics.percentile` picks for 95.0."""
+        ordered = self.ordered
+        return ordered[max(1, math.ceil(95.0 / 100.0 * len(ordered))) - 1]
 
 
 class StragglerDetector:
@@ -153,6 +163,14 @@ class StragglerDetector:
     :meth:`p95` is an O(1) index after the prune. It returns the same
     nearest-rank element :func:`~repro.telemetry.metrics.percentile`
     picks from the window.
+
+    The detector counts every sample added and every sample pruned. A
+    gray score or pool median reads only what the windows hold after a
+    prune at ``now``, so :meth:`gray_score` and :meth:`pool_median`
+    prune every window first and then return their last result if the
+    count has not moved since it was computed. Every read still prunes,
+    so a read at a time a measured region rewound to sees what a
+    recomputation would.
     """
 
     def __init__(
@@ -171,6 +189,16 @@ class StragglerDetector:
         self.flag_ratio = flag_ratio
         self.min_samples = min_samples
         self._samples: Dict[str, _SampleWindow] = {}
+        # samples added plus samples pruned, across every window
+        self._changes = 0
+        # endpoint -> (_changes, score) and (_changes, median) when computed
+        self._gray: Dict[str, Tuple[int, float]] = {}
+        self._median: Tuple[int, Optional[float]] = (-1, None)
+
+    def _prune_all(self, now: float) -> None:
+        floor = now - self.window
+        for samples in self._samples.values():
+            self._changes += samples.prune(floor)
 
     def record(self, endpoint_id: str, elapsed: float, now: float) -> None:
         """Observe one completed dispatch's service time."""
@@ -178,35 +206,38 @@ class StragglerDetector:
         if samples is None:
             samples = self._samples[endpoint_id] = _SampleWindow()
         samples.add(now, elapsed)
-        samples.prune(now - self.window)
+        self._changes += 1 + samples.prune(now - self.window)
 
     def p95(self, endpoint_id: str, now: float) -> Optional[float]:
         """Recent p95 service time; None below the sample floor."""
         samples = self._samples.get(endpoint_id)
         if samples is None:
             return None
-        samples.prune(now - self.window)
-        ordered = samples.ordered
-        if len(ordered) < self.min_samples:
+        self._changes += samples.prune(now - self.window)
+        if len(samples.ordered) < self.min_samples:
             return None
-        # the nearest rank percentile(values, 95.0) computes
-        return ordered[max(1, math.ceil(95.0 / 100.0 * len(ordered))) - 1]
+        return samples.p95()
 
     def pool_median(self, now: float) -> Optional[float]:
         """Median of the per-endpoint p95s (endpoints above the floor)."""
+        self._prune_all(now)
+        changes, median = self._median
+        if changes == self._changes:
+            return median
         values = sorted(
-            p95
-            for p95 in (
-                self.p95(endpoint_id, now) for endpoint_id in self._samples
-            )
-            if p95 is not None
+            samples.p95()
+            for samples in self._samples.values()
+            if len(samples.ordered) >= self.min_samples
         )
-        if not values:
-            return None
         mid = len(values) // 2
-        if len(values) % 2:
-            return values[mid]
-        return (values[mid - 1] + values[mid]) / 2.0
+        if not values:
+            median = None
+        elif len(values) % 2:
+            median = values[mid]
+        else:
+            median = (values[mid - 1] + values[mid]) / 2.0
+        self._median = (self._changes, median)
+        return median
 
     def ratio(self, endpoint_id: str, now: float) -> float:
         """Endpoint p95 over pool median p95; 1.0 without evidence."""
@@ -223,8 +254,14 @@ class StragglerDetector:
         enough for health-weighted routing to start deprioritizing an
         endpoint *before* it is formally flagged.
         """
+        self._prune_all(now)
+        cached = self._gray.get(endpoint_id)
+        if cached is not None and cached[0] == self._changes:
+            return cached[1]
         score = (self.ratio(endpoint_id, now) - 1.0) / (self.flag_ratio - 1.0)
-        return min(1.0, max(0.0, score))
+        score = min(1.0, max(0.0, score))
+        self._gray[endpoint_id] = (self._changes, score)
+        return score
 
     def flagged(self, endpoint_id: str, now: float) -> bool:
         """True when the endpoint's recent p95 crossed the flag ratio."""

@@ -6,7 +6,10 @@ folds them into one score in [0, 1], classified as ``healthy`` /
 ``degraded`` / ``unhealthy``. It is a pure *reader*: scoring never
 creates series, never advances the bucket clock, and asking about an
 endpoint nobody has observed returns a perfect score (no evidence of
-trouble).
+trouble). What it keeps is its own: per endpoint, the four series
+handles it reads and the last non-gray part of the score, reused until
+a write to one of those series or a move to other buckets invalidates
+it (see :meth:`HealthScorer.score`).
 
 The score is intentionally simple and fully deterministic:
 
@@ -35,9 +38,10 @@ byte-identical to before.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+import math
+from typing import Dict, Iterable, List, Optional
 
-from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.timeseries import TimeSeriesStore, _covered, _Series
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -49,6 +53,22 @@ HEALTHY_FLOOR = 0.9
 DEGRADED_FLOOR = 0.5
 
 
+class _Held:
+    """One endpoint's series handles and its cached non-gray score part."""
+
+    __slots__ = ("size", "ok", "err", "breaker", "depth", "key", "base")
+
+    def __init__(self) -> None:
+        self.size = -1  # len(store) when the handles were last looked up
+        self.ok = self.err = self.breaker = self.depth = None
+        self.key: Optional[tuple] = None
+        self.base = 0.0
+
+
+def _version(series: Optional[_Series]) -> int:
+    return -1 if series is None else series.version
+
+
 class HealthScorer:
     """Scores endpoints from the time-series store, on demand."""
 
@@ -57,22 +77,46 @@ class HealthScorer:
         store: TimeSeriesStore,
         window: float = DEFAULT_HEALTH_WINDOW,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"health window must be positive, got {window}")
+        # NaN and infinity fail the first score's bucket arithmetic,
+        # which with health routing is the first routed submit
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError(
+                f"health window must be finite and positive, got {window}"
+            )
         self.store = store
         self.window = window
         # optional (endpoint, now) -> [0, 1] gray-failure score from a
         # straggler detector; None keeps scoring byte-identical to a
         # world without the hedging plane
         self.gray_of = None
+        self._held_by_endpoint: Dict[str, _Held] = {}
+
+    def _held(self, endpoint: str) -> _Held:
+        """The endpoint's handles; a missing one is looked up again only
+        after the store has grown, since the store never removes one."""
+        held = self._held_by_endpoint.get(endpoint)
+        if held is None:
+            held = self._held_by_endpoint[endpoint] = _Held()
+        size = len(self.store)
+        if size != held.size:
+            held.size = size
+            get = self.store.get
+            if held.ok is None:
+                held.ok = get("faas.tasks.ok", endpoint=endpoint)
+            if held.err is None:
+                held.err = get("faas.tasks.err", endpoint=endpoint)
+            if held.breaker is None:
+                held.breaker = get("faas.breaker.state", endpoint=endpoint)
+            if held.depth is None:
+                held.depth = get("faas.queue.depth", endpoint=endpoint)
+        return held
 
     # -- scoring -------------------------------------------------------------
     def success_rate(self, endpoint: str, now: float) -> float:
         """ok / (ok + failed attempts) over the window; 1.0 on silence."""
-        ok_series = self.store.get("faas.tasks.ok", endpoint=endpoint)
-        err_series = self.store.get("faas.tasks.err", endpoint=endpoint)
-        ok = ok_series.sum_over(now, self.window) if ok_series else 0.0
-        err = err_series.sum_over(now, self.window) if err_series else 0.0
+        held = self._held(endpoint)
+        ok = held.ok.sum_over(now, self.window) if held.ok else 0.0
+        err = held.err.sum_over(now, self.window) if held.err else 0.0
         total = ok + err
         if total <= 0:
             return 1.0
@@ -80,19 +124,41 @@ class HealthScorer:
 
     def breaker_level(self, endpoint: str, now: float) -> float:
         """Current breaker gauge: 0 closed, 0.5 half-open, 1 open."""
-        gauge = self.store.get("faas.breaker.state", endpoint=endpoint)
+        gauge = self._held(endpoint).breaker
         return gauge.value if gauge is not None else 0.0
 
     def queue_trend(self, endpoint: str, now: float) -> float:
         """Queue-depth change across the window (positive = backing up)."""
-        gauge = self.store.get("faas.queue.depth", endpoint=endpoint)
+        gauge = self._held(endpoint).depth
         return gauge.trend_over(now, self.window) if gauge is not None else 0.0
 
     def score(self, endpoint: str, now: float) -> float:
-        base = self.success_rate(endpoint, now)
-        base *= 1.0 - self.breaker_level(endpoint, now)
-        if self.queue_trend(endpoint, now) > 0:
-            base -= TREND_PENALTY
+        """The endpoint's health in [0, 1] at ``now``.
+
+        The part before the gray factor reads only the ring buckets a
+        read at ``now`` covers and the breaker gauge's value, so it is
+        cached under the covered bucket bounds, the versions of the
+        ``ok``, ``err`` and depth series and the breaker value. An equal
+        key means equal inputs, a rewound ``now`` included. The gray
+        factor is read on every score: it prunes the detector's windows.
+        """
+        held = self._held(endpoint)
+        breaker = held.breaker
+        key = (
+            _covered(now, self.window, self.store.window),
+            _version(held.ok),
+            _version(held.err),
+            breaker.value if breaker is not None else 0.0,
+            _version(held.depth),
+        )
+        if key != held.key:
+            base = self.success_rate(endpoint, now)
+            base *= 1.0 - self.breaker_level(endpoint, now)
+            if self.queue_trend(endpoint, now) > 0:
+                base -= TREND_PENALTY
+            held.key = key
+            held.base = base
+        base = held.base
         if self.gray_of is not None:
             base *= 1.0 - min(1.0, max(0.0, self.gray_of(endpoint, now)))
         return min(1.0, max(0.0, base))

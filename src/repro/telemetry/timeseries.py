@@ -25,6 +25,7 @@ deterministic: the same event stream produces byte-identical buckets.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
@@ -40,6 +41,21 @@ def bucket_index(time: float, window: float) -> int:
     return int(time // window)
 
 
+def _covered(until: float, window: float, width: float) -> Tuple[int, int]:
+    """First and last bucket index a read of ``[until-window, until)`` covers.
+
+    ``width`` is the bucket width. When ``until`` sits exactly on a
+    bucket boundary the bucket starting there is not covered. The health
+    scorer keys its cache on these bounds, so they have one definition.
+    """
+    # inlined bucket_index (hot path: every health score computes these)
+    first = int((until - window) // width)
+    last = int(until // width)
+    if last * width >= until:
+        last -= 1
+    return first, last
+
+
 class _Series:
     """Common ring bookkeeping: a deque of ``(index, payload)`` pairs.
 
@@ -47,29 +63,21 @@ class _Series:
     strictly increasing index order, and the ring drops its oldest
     bucket once ``max_buckets`` is exceeded — the bounded-memory
     guarantee.
+
+    ``version`` counts writes. Every write method bumps it, and they are
+    the only code that changes the ring, so a reader that saw the same
+    version and reads the same buckets reads the same values.
     """
 
-    __slots__ = ("window", "max_buckets", "_ring")
+    __slots__ = ("window", "max_buckets", "version", "_ring")
 
     kind = "series"
 
     def __init__(self, window: float, max_buckets: int) -> None:
         self.window = window
         self.max_buckets = max_buckets
+        self.version = 0
         self._ring: Deque[List[Any]] = deque(maxlen=max_buckets)
-
-    def _bucket(self, time: float) -> List[Any]:
-        """The (created-on-demand) bucket payload pair for ``time``."""
-        index = int(time // self.window)  # inlined bucket_index (hot path)
-        ring = self._ring
-        if ring and ring[-1][0] == index:
-            return ring[-1]
-        entry = [index, self._new_payload()]
-        ring.append(entry)  # deque(maxlen=...) drops the oldest bucket
-        return entry
-
-    def _new_payload(self) -> Any:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def _in_window(self, until: float, window: float) -> List[List[Any]]:
         """Ring entries covering ``[until-window, until)``, oldest first.
@@ -83,10 +91,7 @@ class _Series:
         than the window: SLO windows cover the ring's tail, so each
         query touches O(window) entries, not O(max_buckets).
         """
-        first = bucket_index(until - window, self.window)
-        last = bucket_index(until, self.window)
-        if last * self.window >= until:
-            last -= 1
+        first, last = _covered(until, window, self.window)
         out: List[List[Any]] = []
         for entry in reversed(self._ring):
             index = entry[0]
@@ -123,13 +128,11 @@ class CounterSeries(_Series):
         super().__init__(window, max_buckets)
         self.total = 0.0
 
-    def _new_payload(self) -> float:
-        return 0.0
-
     def inc(self, time: float, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counter series only go up")
-        # _bucket() inlined: this runs for every task-lifecycle event
+        # bucket lookup inlined: this runs for every task-lifecycle
+        # event; deque(maxlen=...) drops the oldest bucket
         index = int(time // self.window)
         ring = self._ring
         if ring and ring[-1][0] == index:
@@ -137,6 +140,7 @@ class CounterSeries(_Series):
         else:
             ring.append([index, amount])
         self.total += amount
+        self.version += 1
 
     def sum_over(self, until: float, window: float) -> float:
         """Total increments in the closed buckets of ``[until-window, until)``."""
@@ -159,11 +163,8 @@ class GaugeSeries(_Series):
         self.value = 0.0
         self.max_value = 0.0
 
-    def _new_payload(self) -> float:
-        return 0.0
-
     def set(self, time: float, value: float) -> None:
-        # _bucket() inlined: queue-depth gauges move on every submit
+        # bucket lookup inlined: queue-depth gauges move on every submit
         # and dispatch, so this is as hot as CounterSeries.inc
         index = int(time // self.window)
         ring = self._ring
@@ -174,6 +175,7 @@ class GaugeSeries(_Series):
         self.value = value
         if value > self.max_value:
             self.max_value = value
+        self.version += 1
 
     def inc(self, time: float, amount: float = 1.0) -> None:
         self.set(time, self.value + amount)
@@ -187,6 +189,7 @@ class GaugeSeries(_Series):
         else:
             ring.append([index, value])
         self.value = value
+        self.version += 1
 
     def trend_over(self, until: float, window: float) -> float:
         """Last-minus-first bucket value across the window (slope sign).
@@ -218,11 +221,8 @@ class QuantileSeries(_Series):
         self.count = 0
         self.total = 0.0
 
-    def _new_payload(self) -> BucketHistogram:
-        return BucketHistogram(self.bounds)
-
     def observe(self, time: float, value: float) -> None:
-        # _bucket() and BucketHistogram.observe() inlined: two of these
+        # bucket lookup and BucketHistogram.observe() inlined: two of these
         # run per dispatch (all-endpoints + per-endpoint series)
         index = int(time // self.window)
         ring = self._ring
@@ -238,6 +238,7 @@ class QuantileSeries(_Series):
             hist.max = value
         self.count += 1
         self.total += value
+        self.version += 1
 
     def merged_over(self, until: float, window: float) -> BucketHistogram:
         merged = BucketHistogram(self.bounds)
@@ -261,6 +262,10 @@ class TimeSeriesStore:
     — same ``name + labels`` addressing, same create-on-first-use
     discipline, same sorted :meth:`collect` — plus bucket-close
     notification for observers (the SLO engine).
+
+    A series is never removed once created, so ``len(store)`` only
+    grows: a reader that found no series for a key needs to look again
+    only after the length has changed.
     """
 
     def __init__(
@@ -269,8 +274,14 @@ class TimeSeriesStore:
         max_buckets: int = DEFAULT_MAX_BUCKETS,
         bounds: Tuple[float, ...] = DEFAULT_BOUNDS,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+        # NaN fails the first bucket write, infinity folds every
+        # observation into bucket 0, and an empty ring records nothing
+        if not (math.isfinite(window) and window > 0):
+            raise ValueError(f"window must be finite and positive, got {window}")
+        if not isinstance(max_buckets, int) or max_buckets < 1:
+            raise ValueError(
+                f"max_buckets must be an integer of at least 1, got {max_buckets!r}"
+            )
         self.window = float(window)
         self.max_buckets = max_buckets
         self.bounds = bounds

@@ -168,6 +168,48 @@ class TestStragglerDetector:
         assert detector.p95("a", 50.0) is not None
         assert detector.p95("a", 500.0) is None
 
+    def test_repeated_gray_read_reuses_the_score(self):
+        detector = self._loaded()
+        ratios = []
+        ratio = detector.ratio
+        detector.ratio = lambda *args: ratios.append(args) or ratio(*args)
+        assert detector.gray_score("gray", 10.0) == 1.0
+        assert detector.gray_score("gray", 20.0) == 1.0  # nothing popped
+        assert len(ratios) == 1
+        detector.record("b", 10.0, 20.0)
+        assert detector.gray_score("gray", 20.0) == 1.0
+        assert len(ratios) == 2
+        # the first samples leave the 600 s window at 600.5 s: a pop
+        assert detector.gray_score("gray", 600.5) == 1.0
+        assert len(ratios) == 3
+
+    def test_pool_median_is_computed_once_per_change(self):
+        detector = self._loaded()
+        p95s = []
+        p95 = detector.p95
+        detector.p95 = lambda *args: p95s.append(args) or p95(*args)
+        assert detector.pool_median(10.0) == 10.0
+        assert detector.pool_median(10.0) == 10.0
+        assert detector.ratio("gray", 10.0) == pytest.approx(4.0)
+        detector.record("gray", 40.0, 11.0)
+        detector.record("c", 40.0, 11.0)
+        detector.record("c", 40.0, 11.0)
+        assert detector.pool_median(11.0) == 40.0
+        # the median reads the windows directly: only ratio() calls p95
+        assert p95s == [("gray", 10.0)]
+
+    def test_every_gray_read_prunes_every_window(self):
+        detector = self._loaded()
+        detector.record("d", 10.0, 300.0)
+        detector.gray_score("gray", 10.0)
+        for now in (400.0, 650.0, 1000.0, 2000.0):
+            detector.gray_score("gray", now)
+            floor = now - detector.window
+            for samples in detector._samples.values():
+                assert all(at >= floor for at, _ in samples.arrivals)
+                assert len(samples.ordered) == len(samples.arrivals)
+        assert detector.gray_score("gray", 2000.0) == 0.0
+
     def test_flag_ratio_must_exceed_one(self):
         with pytest.raises(ValueError):
             StragglerDetector(flag_ratio=1.0)

@@ -1,6 +1,7 @@
 """The observability plane: SLO engine, health scoring, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.telemetry import (
     validate_openmetrics,
 )
 from repro.telemetry.export import validate_chrome_trace
+from repro.telemetry.timeseries import CounterSeries
 from repro.util.events import EventLog
 
 
@@ -196,6 +198,112 @@ class TestHealthScorer:
         snap = scorer.snapshot(100.0)
         assert list(snap) == ["e1"]
         assert snap["e1"]["state"] == HEALTHY
+
+    @pytest.mark.parametrize(
+        "window", [0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_window_must_be_positive(self, window):
+        # nan and inf used to pass here and crash the first score
+        with pytest.raises(ValueError, match="^health window "):
+            HealthScorer(TimeSeriesStore(), window=window)
+
+
+class TestHealthScoreCache:
+    """A score does work only when one of its inputs changed."""
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def _scorer(self, monkeypatch):
+        store = TimeSeriesStore(window=60.0)
+        store.counter("faas.tasks.ok", endpoint="e").inc(10.0, 3.0)
+        scorer = HealthScorer(store, window=300.0)
+        recomputes = self._counting(monkeypatch, scorer, "success_rate")
+        return store, scorer, recomputes
+
+    def test_second_read_in_a_bucket_sums_nothing(self, monkeypatch):
+        _, scorer, _ = self._scorer(monkeypatch)
+        sums = self._counting(monkeypatch, CounterSeries, "sum_over")
+        assert scorer.score("e", 100.0) == 1.0
+        assert scorer.score("e", 110.0) == 1.0
+        assert len(sums) == 1
+
+    @pytest.mark.parametrize(
+        "kind, name, write",
+        [
+            ("counter", "faas.tasks.ok", lambda s: s.inc(20.0)),
+            ("counter", "faas.tasks.err", lambda s: s.inc(20.0)),
+            ("gauge", "faas.queue.depth", lambda s: s.set(20.0, 4.0)),
+            ("gauge", "faas.queue.depth", lambda s: s.inc(20.0)),
+            ("gauge", "faas.breaker.state", lambda s: s.set(20.0, 0.5)),
+        ],
+        ids=["ok", "err", "depth.set", "depth.inc", "breaker"],
+    )
+    def test_a_write_to_its_series_recomputes(self, monkeypatch, kind, name,
+                                              write):
+        store, scorer, recomputes = self._scorer(monkeypatch)
+        scorer.score("e", 100.0)
+        write(getattr(store, kind)(name, endpoint="e"))
+        scorer.score("e", 100.0)
+        assert len(recomputes) == 2
+
+    def test_a_depth_decrement_recomputes(self, monkeypatch):
+        store, scorer, recomputes = self._scorer(monkeypatch)
+        depth = store.gauge("faas.queue.depth", endpoint="e")
+        depth.set(10.0, 1.0)
+        depth.set(70.0, 3.0)
+        assert scorer.score("e", 100.0) == pytest.approx(0.9)  # rising
+        depth.dec(90.0, 2.0)  # back to 1: the trend is flat again
+        assert scorer.score("e", 100.0) == 1.0
+        assert len(recomputes) == 2
+
+    def test_writes_elsewhere_keep_the_cached_part(self, monkeypatch):
+        store, scorer, recomputes = self._scorer(monkeypatch)
+        scorer.score("e", 100.0)
+        store.counter("faas.tasks.ok", endpoint="other").inc(20.0)
+        store.counter("faas.tasks.submitted", endpoint="e").inc(20.0)
+        scorer.score("e", 100.0)
+        assert len(recomputes) == 1
+
+    def test_a_read_in_another_bucket_recomputes(self, monkeypatch):
+        store, scorer, recomputes = self._scorer(monkeypatch)
+        scorer.score("e", 100.0)
+        scorer.score("e", 119.0)  # same buckets: reused
+        scorer.score("e", 125.0)  # a new last bucket
+        scorer.score("e", 100.0)  # rewound
+        assert len(recomputes) == 3
+        # the bucket holding the 10 s writes leaves the window at 360 s
+        store.counter("faas.tasks.err", endpoint="e").inc(350.0)
+        assert scorer.score("e", 355.0) == pytest.approx(0.75)
+        assert scorer.score("e", 365.0) == 0.0
+
+    def test_a_series_that_appears_later_is_read(self):
+        store = TimeSeriesStore(window=60.0)
+        store.counter("faas.tasks.ok", endpoint="e").inc(10.0)
+        scorer = HealthScorer(store, window=300.0)
+        assert scorer.score("e", 100.0) == 1.0
+        store.counter("faas.tasks.err", endpoint="e").inc(20.0)
+        assert scorer.score("e", 100.0) == 0.5
+        store.gauge("faas.breaker.state", endpoint="e").set(30.0, 1.0)
+        assert scorer.score("e", 100.0) == 0.0
+
+    def test_the_gray_factor_is_read_on_every_score(self):
+        store = TimeSeriesStore(window=60.0)
+        scorer = HealthScorer(store, window=300.0)
+        reads = []
+        scorer.gray_of = lambda endpoint, now: reads.append(now) or 0.5
+        assert scorer.score("e", 100.0) == 0.5
+        assert scorer.score("e", 100.0) == 0.5
+        assert reads == [100.0, 100.0]
 
 
 class TestHealthRouting:

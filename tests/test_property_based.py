@@ -13,7 +13,9 @@ from repro.envs.packages import Version, VersionSpec
 from repro.faas.hedging import StragglerDetector
 from repro.faas.placement import EndpointPool, Router
 from repro.sites.filesystem import SimFileSystem
+from repro.telemetry.health import TREND_PENALTY, HealthScorer
 from repro.telemetry.metrics import percentile
+from repro.telemetry.timeseries import TimeSeriesStore
 from repro.util import yamlite
 from repro.util.clock import SimClock
 from repro.util.serialization import deserialize, serialize
@@ -498,3 +500,96 @@ class TestStragglerDetectorProperties:
                 assert read == getattr(naive, op)(endpoint_id, now)
         for endpoint_id in ("a", "b", "c"):
             assert detector.p95(endpoint_id, now) == naive.p95(endpoint_id, now)
+
+
+# (operation, endpoint, value, clock step) over 10 s buckets and a 30 s
+# scoring window: steps cross bucket boundaries, go backwards (a rewound
+# measured region) and jump past every window
+_score_ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "ok", "err", "depth.set", "depth.dec", "breaker", "record",
+            "score", "score", "score",
+        ]),
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 10.0, 40.0]),
+            st.floats(min_value=0.0, max_value=50.0),
+        ),
+        st.one_of(
+            st.integers(min_value=-25, max_value=25),
+            st.floats(min_value=-12.0, max_value=12.0),
+            st.just(100),
+        ),
+    ),
+    max_size=80,
+)
+
+
+class TestHealthScoreCacheProperties:
+    """A cached score equals one computed from scratch, bit for bit."""
+
+    @given(ops=_score_ops, min_samples=st.integers(min_value=1, max_value=3))
+    @example(
+        ops=[
+            ("depth.set", "a", 1.0, 5), ("depth.set", "a", 3.0, 10),
+            ("score", "a", 0.0, 1), ("depth.dec", "a", 2.0, 1),
+            ("score", "a", 0.0, 1), ("ok", "a", 1.0, -14),
+            ("score", "a", 0.0, 0), ("err", "b", 1.0, 3),
+            ("score", "b", 0.0, 0), ("score", "a", 0.0, 40),
+            ("score", "b", 0.0, 0),
+        ],
+        min_samples=1,
+    )
+    @example(
+        ops=[
+            ("record", "a", 40.0, 0), ("record", "b", 10.0, 1),
+            ("record", "c", 10.0, 1), ("score", "a", 0.0, 1),
+            ("score", "a", 0.0, 100), ("record", "b", 2.0, -25),
+            ("score", "b", 0.0, -3), ("breaker", "b", 0.5, 0),
+            ("score", "b", 0.0, 0),
+        ],
+        min_samples=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scores_match_a_fresh_computation(self, ops, min_samples):
+        store = TimeSeriesStore(window=10.0)
+        scorer = HealthScorer(store, window=30.0)
+        detector = StragglerDetector(
+            window=40.0, flag_ratio=2.0, min_samples=min_samples
+        )
+        scorer.gray_of = detector.gray_score
+        naive = _NaiveDetector(40.0, 2.0, min_samples)
+        now = 50.0
+        for op, endpoint, value, step in ops:
+            now += step
+            if op == "ok" or op == "err":
+                store.counter(f"faas.tasks.{op}", endpoint=endpoint).inc(
+                    now, value
+                )
+            elif op == "depth.set":
+                store.gauge("faas.queue.depth", endpoint=endpoint).set(
+                    now, value
+                )
+            elif op == "depth.dec":
+                store.gauge("faas.queue.depth", endpoint=endpoint).dec(
+                    now, value
+                )
+            elif op == "breaker":
+                level = (0.0, 0.5, 1.0)[int(value) % 3]
+                store.gauge("faas.breaker.state", endpoint=endpoint).set(
+                    now, level
+                )
+            elif op == "record":
+                detector.record(endpoint, value, now)
+                naive.record(endpoint, value, now)
+            else:
+                fresh = HealthScorer(store, window=30.0)
+                expected = fresh.success_rate(endpoint, now)
+                expected *= 1.0 - fresh.breaker_level(endpoint, now)
+                if fresh.queue_trend(endpoint, now) > 0:
+                    expected -= TREND_PENALTY
+                gray = naive.gray_score(endpoint, now)
+                expected *= 1.0 - min(1.0, max(0.0, gray))
+                expected = min(1.0, max(0.0, expected))
+                assert scorer.score(endpoint, now) == expected

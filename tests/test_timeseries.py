@@ -1,5 +1,7 @@
 """The windowed time-series layer: buckets, windows, and bounded memory."""
 
+import math
+
 import pytest
 
 from repro.telemetry.metrics import (
@@ -140,6 +142,46 @@ class TestGaugeSeries:
         assert series.trend_over(150.0, 30.0) == 0.0
 
 
+class TestSeriesVersion:
+    """Every write method bumps ``version``; reads leave it alone."""
+
+    @pytest.mark.parametrize(
+        "make, write",
+        [
+            (CounterSeries, lambda s, t: s.inc(t)),
+            (CounterSeries, lambda s, t: s.inc(t, 0.0)),
+            (GaugeSeries, lambda s, t: s.set(t, 3.0)),
+            (GaugeSeries, lambda s, t: s.inc(t)),
+            (GaugeSeries, lambda s, t: s.dec(t)),
+            (QuantileSeries, lambda s, t: s.observe(t, 1.5)),
+        ],
+        ids=["counter.inc", "counter.inc0", "gauge.set", "gauge.inc",
+             "gauge.dec", "quantile.observe"],
+    )
+    def test_each_write_bumps_version(self, make, write):
+        series = make(window=60.0, max_buckets=2)
+        assert series.version == 0
+        # same bucket, a new bucket, and one that evicts the oldest
+        for step, time in enumerate((10.0, 20.0, 70.0, 130.0), start=1):
+            write(series, time)
+            assert series.version == step
+
+    def test_reads_do_not_bump_version(self):
+        counter = CounterSeries(window=60.0, max_buckets=8)
+        gauge = GaugeSeries(window=60.0, max_buckets=8)
+        quantile = QuantileSeries(window=60.0, max_buckets=8)
+        counter.inc(5.0)
+        gauge.set(5.0, 2.0)
+        quantile.observe(5.0, 1.0)
+        counter.sum_over(100.0, 120.0)
+        counter.rate_over(100.0, 120.0)
+        gauge.trend_over(100.0, 120.0)
+        quantile.quantile_over(95.0, 100.0, 120.0)
+        for series in (counter, gauge, quantile):
+            series.buckets()
+            assert series.version == 1
+
+
 class TestQuantileSeries:
     def test_per_bucket_histograms_merge_over_windows(self):
         series = QuantileSeries(window=60.0, max_buckets=8)
@@ -206,9 +248,20 @@ class TestTimeSeriesStore:
         store.advance_to(199.0)  # going nowhere fires nothing
         assert boundaries == [60.0, 120.0, 180.0]
 
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeSeriesStore(window=0.0)
+    @pytest.mark.parametrize(
+        "window", [0.0, -1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_window_must_be_positive(self, window):
+        # nan used to crash the first write and inf to fold every
+        # observation into bucket 0
+        with pytest.raises(ValueError, match="^window "):
+            TimeSeriesStore(window=window)
+
+    @pytest.mark.parametrize("max_buckets", [0, -1])
+    def test_max_buckets_must_be_at_least_one(self, max_buckets):
+        # an empty ring recorded nothing while the totals still counted
+        with pytest.raises(ValueError, match="^max_buckets "):
+            TimeSeriesStore(max_buckets=max_buckets)
 
     def test_snapshot_is_json_shaped(self):
         store = TimeSeriesStore(window=60.0)
