@@ -8,6 +8,8 @@ benchmark). Both verify against sequential references in the artifacts.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import chain
 from typing import Dict, List, Sequence, Set
 
 from repro.apps.kamping.mpi import SimMPI
@@ -20,6 +22,13 @@ def sample_sort(
 
     ``bindings`` must expose ``allgatherv`` and ``alltoall`` (any of the
     three binding layers).
+
+    A value goes to the first bucket whose splitter is >= the value (the
+    last bucket when none is). Each rank cuts its sorted chunk at
+    ``bisect_right(chunk, s)`` for each splitter ``s`` and sends the
+    slices between consecutive cuts. That is the same partition, because
+    the splitters never decrease: they are taken in order from sorted
+    samples, and padding repeats the last splitter (or 0).
     """
     p = comm.comm_size
     local_sorted = [sorted(chunk) for chunk in per_rank]
@@ -46,20 +55,15 @@ def sample_sort(
     while len(splitters) < p - 1:
         splitters.append(splitters[-1] if splitters else 0)
 
-    # 3. partition each rank's data by splitter bucket, exchange alltoall
+    # 3. cut each sorted chunk into splitter buckets, exchange alltoall
     sends: List[List[List[int]]] = []
     for chunk in local_sorted:
-        buckets: List[List[int]] = [[] for _ in range(p)]
-        for value in chunk:
-            bucket = 0
-            while bucket < p - 1 and value > splitters[bucket]:
-                bucket += 1
-            buckets[bucket].append(value)
-        sends.append(buckets)
+        cuts = [0, *(bisect_right(chunk, s) for s in splitters), len(chunk)]
+        sends.append([chunk[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     received = bindings.alltoall(sends)
 
     # 4. local merge
-    return [sorted(v for chunk in received[rank] for v in chunk) for rank in range(p)]
+    return [sorted(chain.from_iterable(received[rank])) for rank in range(p)]
 
 
 def make_random_graph(nodes: int, degree: int, seed: int = 0) -> Dict[int, List[int]]:

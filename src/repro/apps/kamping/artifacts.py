@@ -12,6 +12,7 @@ reference and checks the paper's headline ordering:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, List, Tuple
 
 from repro.apps.kamping.algorithms import (
@@ -136,7 +137,7 @@ def ae_sort_bench(session, args: List[str]) -> CommandResult:
         [rng.randrange(10**6) for _ in range(_AE_ELEMENTS_PER_RANK)]
         for _ in range(_AE_RANKS)
     ]
-    flat_sorted = sorted(v for chunk in per_rank for v in chunk)
+    flat_sorted = sorted(chain.from_iterable(per_rank))
     lines = ["[AE] sample sort benchmark"]
     ok = True
     timings: Dict[str, float] = {}
@@ -144,7 +145,7 @@ def ae_sort_bench(session, args: List[str]) -> CommandResult:
         comm = SimMPI(_AE_RANKS)
         layer = make(comm)
         chunks = sample_sort(comm, layer, per_rank)
-        merged = [v for chunk in chunks for v in chunk]
+        merged = list(chain.from_iterable(chunks))
         if merged != flat_sorted:
             ok = False
             lines.append(f"[AE] {layer.name}: INCORRECT SORT")

@@ -96,13 +96,18 @@ class SimMPI:
         return [list(gathered) for _ in range(self.comm_size)]
 
     def allgatherv(self, per_rank: Sequence[Sequence[Any]]) -> List[List[Any]]:
-        """Variable-count allgather: every rank gets the concatenation."""
+        """Variable-count allgather: every rank gets the concatenation.
+
+        Rank 0 receives the freshly gathered list and every other rank a
+        copy of it, so each rank owns a distinct list that aliases neither
+        the input nor another rank's.
+        """
         self._check(per_rank)
         flat: List[Any] = []
         for chunk in per_rank:
             flat.extend(chunk)
         self._charge(len(flat) * 2)
-        return [list(flat) for _ in range(self.comm_size)]
+        return [flat] + [list(flat) for _ in range(self.comm_size - 1)]
 
     def alltoall(self, per_rank: Sequence[Sequence[Sequence[Any]]]) -> List[List[List[Any]]]:
         """``per_rank[i][j]`` = data rank i sends to rank j."""

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 ATOMIC_WEIGHTS: Dict[str, float] = {
@@ -27,8 +27,11 @@ ATOMIC_WEIGHTS: Dict[str, float] = {
     "H": 1.008,
 }
 
-# organic-subset SMILES tokens we accept (two-letter halogens first)
-_ATOM_RE = re.compile(r"Cl|Br|[CNOSPF]")
+# the one-letter atoms of the accepted subset; aromatic c/n/o read as C/N/O
+_ATOM_SYMBOL: Dict[str, str] = {
+    "C": "C", "N": "N", "O": "O", "S": "S", "P": "P", "F": "F",
+    "c": "C", "n": "N", "o": "O",
+}
 _VALENCE: Dict[str, int] = {
     "C": 4, "N": 3, "O": 2, "S": 2, "P": 3, "F": 1, "Cl": 1, "Br": 1,
 }
@@ -47,9 +50,13 @@ class Molecule:
     def heavy_atom_count(self) -> int:
         return len(self.atoms)
 
-    @property
+    @cached_property
     def implicit_hydrogens(self) -> int:
-        """Hydrogens implied by unfilled valences."""
+        """Hydrogens implied by unfilled valences (computed once per molecule).
+
+        The value is kept in the instance ``__dict__``; equality, hashing
+        and ``repr`` read the dataclass fields only.
+        """
         degree = [0] * len(self.atoms)
         for a, b in self.bonds:
             degree[a] += 1
@@ -90,9 +97,10 @@ class Molecule:
 def parse_smiles(smiles: str) -> Molecule:
     """Parse an organic-subset SMILES string.
 
-    Supports: atoms C/N/O/S/P/F/Cl/Br, branches ``( )``, ring-closure
-    digits, and single/double/triple bond symbols (bond order is ignored
-    beyond connectivity). Raises ``ValueError`` on anything else.
+    Supports: atoms C/N/O/S/P/F/Cl/Br (aromatic c/n/o as C/N/O), branches
+    ``( )``, ring-closure digits (ASCII ``0``-``9`` only), and
+    single/double/triple bond symbols (bond order is ignored beyond
+    connectivity). Raises ``ValueError`` on anything else.
     """
     if not smiles:
         raise ValueError("empty SMILES")
@@ -102,31 +110,34 @@ def parse_smiles(smiles: str) -> Molecule:
     ring_open: Dict[str, int] = {}
     previous = -1
     ring_count = 0
+    end = len(smiles)
     i = 0
-    while i < len(smiles):
+    while i < end:
         ch = smiles[i]
-        match = _ATOM_RE.match(smiles, i)
-        if match:
-            atoms.append(match.group(0))
-            idx = len(atoms) - 1
+        i += 1
+        symbol = _ATOM_SYMBOL.get(ch)
+        # the two-letter halogens, by a one-character look-ahead
+        if symbol is None:
+            if ch == "B" and smiles.startswith("r", i):
+                symbol = "Br"
+                i += 1
+        elif ch == "C" and smiles.startswith("l", i):
+            symbol = "Cl"
+            i += 1
+        if symbol is not None:
             if previous >= 0:
-                bonds.append((previous, idx))
-            previous = idx
-            i = match.end()
-            continue
-        if ch == "(":
+                bonds.append((previous, len(atoms)))
+            previous = len(atoms)
+            atoms.append(symbol)
+        elif ch == "(":
             if previous < 0:
                 raise ValueError(f"branch before any atom in {smiles!r}")
             branch_stack.append(previous)
-            i += 1
-            continue
-        if ch == ")":
+        elif ch == ")":
             if not branch_stack:
                 raise ValueError(f"unbalanced ')' in {smiles!r}")
             previous = branch_stack.pop()
-            i += 1
-            continue
-        if ch.isdigit():
+        elif ch in "0123456789":
             if previous < 0:
                 raise ValueError(f"ring digit before any atom in {smiles!r}")
             if ch in ring_open:
@@ -134,28 +145,8 @@ def parse_smiles(smiles: str) -> Molecule:
                 ring_count += 1
             else:
                 ring_open[ch] = previous
-            i += 1
-            continue
-        if ch in "=#-":
-            i += 1
-            continue
-        if ch == "c":  # aromatic carbon, common in drug-like SMILES
-            atoms.append("C")
-            idx = len(atoms) - 1
-            if previous >= 0:
-                bonds.append((previous, idx))
-            previous = idx
-            i += 1
-            continue
-        if ch in "no":  # aromatic N / O
-            atoms.append(ch.upper())
-            idx = len(atoms) - 1
-            if previous >= 0:
-                bonds.append((previous, idx))
-            previous = idx
-            i += 1
-            continue
-        raise ValueError(f"unsupported SMILES token {ch!r} in {smiles!r}")
+        elif ch not in "=#-":
+            raise ValueError(f"unsupported SMILES token {ch!r} in {smiles!r}")
     if branch_stack:
         raise ValueError(f"unbalanced '(' in {smiles!r}")
     if ring_open:

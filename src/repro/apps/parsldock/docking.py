@@ -117,18 +117,25 @@ def dock(
     size_ratio = (mol.heavy_atom_count * 18.0) / receptor.pocket_volume
     steric = 4.0 * max(0.0, size_ratio - 1.0) ** 2
     # conformer search: the best of `exhaustiveness` deterministic poses
-    best_pose = min(
-        _pose_energy(mol, receptor, pose) for pose in range(exhaustiveness)
-    )
+    best_pose = min(_pose_energies(mol, receptor, exhaustiveness))
     base = hbond + hydrophobic + entropy_penalty + steric + best_pose
     return round(base - 2.0 * pair, 4)
 
 
-def _pose_energy(mol: Molecule, receptor: Receptor, pose: int) -> float:
-    digest = hashlib.sha256(
-        f"{mol.smiles}|{receptor.name}|pose{pose}".encode()
-    ).digest()
-    return -3.0 * (int.from_bytes(digest[:4], "big") / 2**32)
+def _pose_energies(mol: Molecule, receptor: Receptor, poses: int) -> List[float]:
+    """Energies of poses ``0 .. poses-1``, each drawn from the SHA-256 of
+    ``f"{smiles}|{receptor name}|pose{n}"``.
+
+    The shared prefix is hashed once; each pose continues a copy of that
+    hash with its number, which gives the digest of the whole string.
+    """
+    prefix = hashlib.sha256(f"{mol.smiles}|{receptor.name}|pose".encode())
+    energies: List[float] = []
+    for pose in range(poses):
+        digest = prefix.copy()
+        digest.update(str(pose).encode())
+        energies.append(-3.0 * (int.from_bytes(digest.digest()[:4], "big") / 2**32))
+    return energies
 
 
 def dock_batch(

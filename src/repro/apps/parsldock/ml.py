@@ -9,6 +9,7 @@ surrogate actually beats random ordering on held-out data.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 import numpy as np
@@ -20,31 +21,35 @@ FINGERPRINT_SIZE = 8
 
 def fingerprint(molecule: Molecule) -> np.ndarray:
     """A fixed-length descriptor: composition + topology features."""
-    counts = {symbol: 0 for symbol in ("C", "N", "O", "S", "F")}
-    for atom in molecule.atoms:
-        if atom in counts:
-            counts[atom] += 1
-    return np.array(
-        [
-            molecule.heavy_atom_count,
-            molecule.implicit_hydrogens,
-            molecule.ring_count,
-            counts["C"],
-            counts["N"] + counts["O"],
-            counts["S"] + counts["F"],
-            len(molecule.bonds),
-            molecule.molecular_weight / 100.0,
-        ],
-        dtype=float,
-    )
+    return np.array(_features(molecule), dtype=float)
+
+
+def _features(molecule: Molecule) -> List[float]:
+    """The :func:`fingerprint` values of one molecule, as a plain row."""
+    atoms = molecule.atoms
+    return [
+        len(atoms),
+        molecule.implicit_hydrogens,
+        molecule.ring_count,
+        atoms.count("C"),
+        atoms.count("N") + atoms.count("O"),
+        atoms.count("S") + atoms.count("F"),
+        len(molecule.bonds),
+        molecule.molecular_weight / 100.0,
+    ]
+
+
+def _feature_matrix(smiles: Sequence[str]) -> np.ndarray:
+    """One fingerprint row per SMILES string, built as a single array."""
+    return np.array([_features(parse_smiles(s)) for s in smiles], dtype=float)
 
 
 class SurrogateModel:
     """Ridge regression: fingerprints → docking scores."""
 
     def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
         self.alpha = alpha
         self._weights: np.ndarray | None = None
         self._mean: np.ndarray | None = None
@@ -59,8 +64,10 @@ class SurrogateModel:
             raise ValueError("smiles and scores must have equal length")
         if len(smiles) < 2:
             raise ValueError("need at least two training samples")
-        X = np.stack([fingerprint(parse_smiles(s)) for s in smiles])
+        X = _feature_matrix(smiles)
         y = np.asarray(scores, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("scores must be finite")
         self._mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale[scale == 0] = 1.0
@@ -77,7 +84,7 @@ class SurrogateModel:
         if not self.is_fitted:
             raise RuntimeError("model is not fitted")
         assert self._mean is not None and self._scale is not None
-        X = np.stack([fingerprint(parse_smiles(s)) for s in smiles])
+        X = _feature_matrix(smiles)
         Xn = (X - self._mean) / self._scale
         Xn = np.hstack([Xn, np.ones((len(Xn), 1))])
         return Xn @ self._weights

@@ -51,6 +51,10 @@ class DockingCampaign:
     batch_size: int = 4
     scores: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
     def dock_batch(self, smiles_batch: List[str]) -> Dict[str, float]:
         """Dock candidates not yet scored; records and returns new scores."""
         new_scores: Dict[str, float] = {}

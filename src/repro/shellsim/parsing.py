@@ -14,7 +14,17 @@ from repro.errors import ShellError
 
 
 def tokenize(command: str) -> List[str]:
-    """Split one simple command into tokens, honoring quotes."""
+    """Split one simple command into tokens, honoring quotes.
+
+    A command holding no quote and none of ``|<>*`` is returned as
+    ``command.split()`` without a character scan: ``str.split()`` and
+    ``str.isspace()`` share one definition of whitespace.
+    """
+    if not (
+        "'" in command or '"' in command or "|" in command
+        or "<" in command or ">" in command or "*" in command
+    ):
+        return command.split()
     tokens: List[str] = []
     current: List[str] = []
     quote = None
@@ -51,8 +61,15 @@ def split_chain(command_line: str) -> List[Tuple[str, str]]:
     """Split on ``&&`` and ``;`` (outside quotes).
 
     Returns [(operator, simple_command)] where operator is ``"&&"``,
-    ``";"``, or ``""`` for the first element.
+    ``";"``, or ``""`` for the first element. A line holding no quote, no
+    ``&`` and no ``;`` is one command and skips the character scan.
     """
+    if not (
+        "'" in command_line or '"' in command_line
+        or "&" in command_line or ";" in command_line
+    ):
+        command = command_line.strip()
+        return [("", command)] if command else []
     parts: List[Tuple[str, str]] = []
     current: List[str] = []
     quote = None
@@ -104,7 +121,12 @@ def extract_assignments(tokens: List[str]) -> Tuple[Dict[str, str], List[str]]:
 
 
 def expand_variables(token: str, env: Dict[str, str]) -> str:
-    """Expand ``$VAR`` and ``${VAR}`` references."""
+    """Expand ``$VAR`` and ``${VAR}`` references.
+
+    A token holding no ``$`` is returned as it is, without a scan.
+    """
+    if "$" not in token:
+        return token
     out: List[str] = []
     i = 0
     while i < len(token):

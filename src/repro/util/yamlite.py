@@ -60,6 +60,12 @@ def _strip_comments(text: str) -> List[_Line]:
 
 
 def _cut_comment(line: str) -> str:
+    """``line`` up to its first ``#`` comment outside quotes.
+
+    A line holding no ``#`` is returned as it is, without a scan.
+    """
+    if "#" not in line:
+        return line
     quote: Optional[str] = None
     for i, ch in enumerate(line):
         if quote:

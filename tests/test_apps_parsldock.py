@@ -49,9 +49,15 @@ class TestChemistry:
         assert parse_smiles("CCO").molecular_weight == pytest.approx(46.07, abs=0.05)
 
     def test_errors(self):
-        for bad in ("", "C(", "C)", "C1CC", "X", "C%"):
+        for bad in (
+            "", "C(", "C)", "C1CC", "X", "C%", "C\u00b2CC\u00b2", "C\u0663CC\u0663",
+        ):
             with pytest.raises(ValueError):
                 parse_smiles(bad)
+        # only ASCII 0-9 close rings: other Unicode digits are unsupported
+        for digit in ("\u00b2", "\u0663"):
+            with pytest.raises(ValueError, match=f"unsupported SMILES token '{digit}'"):
+                parse_smiles(f"C{digit}CC{digit}")
 
     def test_conformer_determinism_and_seed_sensitivity(self):
         mol = parse_smiles("CC(C)O")
@@ -140,6 +146,18 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             SurrogateModel(alpha=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            SurrogateModel(alpha=alpha)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_scores_must_be_finite(self, bad):
+        model = SurrogateModel()
+        with pytest.raises(ValueError, match="finite"):
+            model.fit(["CCO", "CCN", "CCC"], [bad, -1.0, -2.0])
+        assert not model.is_fitted
+
     def test_rank_returns_permutation(self):
         receptor = prepare_receptor()
         train = CANDIDATE_SMILES[:12]
@@ -168,6 +186,11 @@ class TestCampaign:
         campaign.dock_batch(CANDIDATE_SMILES[:4])
         new = campaign.dock_batch(CANDIDATE_SMILES[:4])
         assert new == {}
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_validation(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            DockingCampaign(batch_size=batch_size)
 
     def test_rounds_validation(self):
         with pytest.raises(ValueError):
