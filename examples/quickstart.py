@@ -10,7 +10,7 @@ remote stdout, stored artifacts, and the provenance record.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import WorkflowBuilder, audit_environment, sole_reviewer_rules
+from repro.core import WorkflowBuilder, audit_environment
 from repro.experiments import common
 from repro.world import World
 

@@ -79,9 +79,11 @@ def _cmd_fig4_overlap(args: argparse.Namespace) -> int:
     return 0 if result.makespan < result.serialized_total else 1
 
 
-def _render_fig5(result) -> int:
+def _render_fig5(
+    result, title: str = "Fig. 5 — PSI/J CI via CORRECT on Anvil"
+) -> int:
     """Print the Fig. 5 report for a ``Fig5Result``; returns exit code."""
-    print("Fig. 5 — PSI/J CI via CORRECT on Anvil\n")
+    print(f"{title}\n")
     print(f"run status: {result.run.status}")
     for name, (outcome, duration) in result.tests.items():
         print(f"  {name:<28} {outcome:<7} {duration:8.2f}s")
@@ -126,16 +128,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         from repro.experiments import run_fig5_chaos
 
         result = run_fig5_chaos(seed=args.seed, telemetry=telemetry)
-        print(
-            "Chaos Fig. 5 — failing test reproduced by injection "
-            "(fixed suite)\n"
+        code = _render_fig5(
+            result,
+            "Chaos Fig. 5 — failing test reproduced by injection (fixed suite)",
         )
-        print(f"run status: {result.run.status}")
-        for name, (outcome, duration) in result.tests.items():
-            print(f"  {name:<28} {outcome:<7} {duration:8.2f}s")
-        print("\nfailing:", sorted(result.failing_tests))
         _maybe_print_metrics(args, result.world)
-        return 0 if result.run_failed else 1
+        return code
 
     from repro.experiments import format_chaos_report, run_fig4_chaos
 
@@ -189,6 +187,18 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+def _export_openmetrics(prefix: str, text: str) -> str:
+    """Validate OpenMetrics ``text`` and write it to
+    ``<prefix>-openmetrics.txt``; returns that path."""
+    from repro.telemetry import validate_openmetrics
+
+    validate_openmetrics(text)
+    path = f"{prefix}-openmetrics.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _cmd_route(args: argparse.Namespace) -> int:
     """Compare a placement policy against pinned on pooled endpoints."""
     from repro.experiments import format_routing_report, run_fig4_pooled
@@ -221,19 +231,17 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     comparison = run_overload_comparison(params)
     print(format_overload_report(comparison))
     if args.export:
-        from repro.telemetry import openmetrics_text, validate_openmetrics
+        from repro.telemetry import openmetrics_text
 
         world = comparison.protected.world
-        text = openmetrics_text(world.metrics, world.series)
-        validate_openmetrics(text)
-        om_path = f"{args.export}-openmetrics.txt"
-        with open(om_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        om_path = _export_openmetrics(
+            args.export, openmetrics_text(world.metrics, world.series)
+        )
         print(f"\nwrote {om_path}", file=sys.stderr)
     # a fault-free run must not shed a well-behaved workload; a chaotic
     # run succeeds when protection strictly beats no protection
     if comparison.protected.fault_free:
-        return 0 if comparison.protected.shed == 0 else 1
+        return 0 if comparison.protected.stats.shed == 0 else 1
     return 0 if comparison.goodput_ratio > 1.0 else 1
 
 
@@ -253,7 +261,7 @@ def _cmd_hedge(args: argparse.Namespace) -> int:
     print(format_hedging_report(comparison))
     runs = (comparison.unhedged, comparison.hedged, comparison.fault_free)
     audits_ok = (
-        comparison.fault_free.hedges_launched == 0
+        comparison.fault_free.hedge.hedges_launched == 0
         and all(r.double_resolutions == 0 for r in runs)
         and all(r.unresolved_futures == 0 for r in runs)
     )
@@ -276,7 +284,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         parse_slo_overrides,
         run_fig4_obs,
     )
-    from repro.telemetry import validate_openmetrics
 
     try:
         rules = parse_slo_overrides(args.slo, args.window)
@@ -292,11 +299,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     )
     print(format_obs_report(result))
     if args.export:
-        text = result.openmetrics()
-        validate_openmetrics(text)
-        om_path = f"{args.export}-openmetrics.txt"
-        with open(om_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        om_path = _export_openmetrics(args.export, result.openmetrics())
         dash_path = f"{args.export}-dashboard.json"
         with open(dash_path, "w", encoding="utf-8") as fh:
             json.dump(result.dashboard(), fh, indent=2, sort_keys=True)
@@ -307,9 +310,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if result.fault_free and result.alerts_fired:
         return 1
     return 0
-
-
-TRACEABLE_EXPERIMENTS = ("fig4", "fig5", "exp63")
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -498,28 +498,25 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     telemetry = _telemetry_enabled(args)
     try:
         if args.permute or args.overload or args.hedge:
+            from repro.experiments.hedging import HedgingParams, hedge_config
+            from repro.experiments.overload import OverloadParams, overload_config
+            from repro.suites import run_sweep
+
+            # the synthetic experiments' plane tuning; one tenant submits
+            # the whole suite, so overload capacity is not split
+            overload = hedge = None
             if args.overload:
-                from repro.experiments.overload import run_suite_overload
-
-                sweep = run_suite_overload(
-                    args.suite, seed=args.seed, profile=args.profile,
-                    policy=args.policy, pool_size=args.pool_size,
-                )
+                overload = overload_config(OverloadParams(
+                    seed=args.seed, tenants=1, endpoints=args.pool_size,
+                ))
             elif args.hedge:
-                from repro.experiments.hedging import run_suite_failslow
-
-                sweep = run_suite_failslow(
-                    args.suite, seed=args.seed, profile=args.profile,
-                    policy=args.policy, pool_size=args.pool_size,
-                )
-            else:
-                from repro.suites import run_sweep
-
-                sweep = run_sweep(
-                    args.suite, seed=args.seed, profile=args.profile,
-                    policy=args.policy, pool_size=args.pool_size,
-                    overrides=overrides, telemetry=telemetry,
-                )
+                hedge = hedge_config(HedgingParams())
+            sweep = run_sweep(
+                args.suite, seed=args.seed, profile=args.profile,
+                policy=args.policy, pool_size=args.pool_size,
+                overrides=overrides, telemetry=telemetry,
+                overload=overload, hedge=hedge,
+            )
             print(format_sweep_report(sweep))
             return 0 if sweep.ok else 1
         if args.profile and args.profile not in FAULT_FREE_PROFILES:
@@ -593,6 +590,22 @@ def _positive(kind: type) -> Callable[[str], float]:
     return parse
 
 
+def _add_telemetry_flags(
+    parser: argparse.ArgumentParser, metrics: bool = True
+) -> None:
+    """Add ``--no-telemetry`` and, unless ``metrics`` is false,
+    ``--metrics``."""
+    if metrics:
+        parser.add_argument(
+            "--metrics", action="store_true",
+            help="print the telemetry metrics report after the run",
+        )
+    parser.add_argument(
+        "--no-telemetry", action="store_true",
+        help="run without tracer/metrics (outputs are identical)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.faas.placement import POLICIES
     from repro.faults.profiles import FAULT_FREE_PROFILES, PROFILES
@@ -619,14 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fig1":
             p.add_argument("--seed", type=int, default=2025)
         if name in ("fig4", "fig4-overlap", "fig5", "exp63"):
-            p.add_argument(
-                "--metrics", action="store_true",
-                help="print the telemetry metrics report after the run",
-            )
-            p.add_argument(
-                "--no-telemetry", action="store_true",
-                help="run without tracer/metrics (outputs are identical)",
-            )
+            _add_telemetry_flags(p)
         if name == "fig5":
             p.add_argument(
                 "--inject-failure", action="store_true",
@@ -672,14 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["flaky-endpoint", "walltime", "partition", "fail-slow"],
         help="named fault profile (fig4 only)",
     )
-    chaos.add_argument(
-        "--metrics", action="store_true",
-        help="print the telemetry metrics report after the run",
-    )
-    chaos.add_argument(
-        "--no-telemetry", action="store_true",
-        help="run without tracer/metrics (outputs are identical)",
-    )
+    _add_telemetry_flags(chaos)
     route = sub.add_parser(
         "route",
         help=(
@@ -700,14 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pool-size", type=_positive(int), default=2,
         help="endpoints deployed per site (default 2)",
     )
-    route.add_argument(
-        "--metrics", action="store_true",
-        help="print the telemetry metrics report after the routed run",
-    )
-    route.add_argument(
-        "--no-telemetry", action="store_true",
-        help="run without tracer/metrics (outputs are identical)",
-    )
+    _add_telemetry_flags(route)
     recover = sub.add_parser(
         "recover",
         help=(
@@ -738,10 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-dir", default="",
         help="write baseline.txt and resumed-<point>.txt here for diffing",
     )
-    recover.add_argument(
-        "--no-telemetry", action="store_true",
-        help="run without tracer/metrics (outputs are identical)",
-    )
+    _add_telemetry_flags(recover, metrics=False)
     obs = sub.add_parser(
         "obs",
         help=(
@@ -902,10 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hedge", action="store_true",
         help="sweep under hedged execution (implies --permute)",
     )
-    run.add_argument(
-        "--no-telemetry", action="store_true",
-        help="run without tracer/metrics (outputs are identical)",
-    )
+    _add_telemetry_flags(run, metrics=False)
     return parser
 
 

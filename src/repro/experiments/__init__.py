@@ -63,7 +63,6 @@ from repro.experiments.overload import (
     overload_config,
     run_overload,
     run_overload_comparison,
-    run_suite_overload,
 )
 from repro.experiments.hedging import (
     FailSlowComparison,
@@ -74,7 +73,6 @@ from repro.experiments.hedging import (
     hedge_config,
     run_failslow,
     run_fig4_failslow,
-    run_suite_failslow,
 )
 from repro.experiments.survey_tables import (
     table1_rows,
@@ -132,7 +130,6 @@ __all__ = [
     "overload_config",
     "run_overload",
     "run_overload_comparison",
-    "run_suite_overload",
     # hedging
     "FailSlowComparison",
     "FailSlowRunResult",
@@ -142,7 +139,6 @@ __all__ = [
     "hedge_config",
     "run_failslow",
     "run_fig4_failslow",
-    "run_suite_failslow",
     # survey_tables
     "table1_rows",
     "table2_rows",

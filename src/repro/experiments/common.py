@@ -1,8 +1,9 @@
-"""Shared experiment setup: users, sites, conda stacks, MEP templates."""
+"""Shared experiment setup: users, sites, conda stacks, MEP templates,
+plus the open-loop driver and report table the plane experiments share."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.security import sole_reviewer_rules
 from repro.faas.endpoint import EndpointTemplate, MultiUserEndpoint
@@ -32,6 +33,34 @@ def virtual_work(fctx, seconds: float) -> float:
     """Synthetic task body: burn ``seconds`` of virtual compute."""
     fctx.handle.compute(seconds)
     return seconds
+
+
+def run_open_loop(world: World, arrivals: Iterable, submit: Callable) -> float:
+    """Drive an open-loop workload to idle; returns the start time.
+
+    ``submit(arrival)`` runs at virtual time ``arrival.at`` after now,
+    whatever the service is doing. The world's installed fault plan is
+    armed after every arrival is scheduled, and the SLO engine's last
+    (partial) bucket is evaluated once the clock drains.
+    """
+    started_at = world.clock.now
+    for arrival in arrivals:
+        world.clock.call_after(arrival.at, lambda a=arrival: submit(a))
+    if world.fault_injector is not None:
+        world.arm_faults()
+    world.clock.run_until_idle()
+    world.slo.finish(world.clock.now)
+    return started_at
+
+
+def comparison_table(
+    left: str, right: str, rows: Sequence[Tuple[str, str, str]]
+) -> List[str]:
+    """Report lines for two same-seed runs: a header, then one row per
+    ``(label, left value, right value)``."""
+    return [f"{'':28}{left:>16}{right:>16}"] + [
+        f"{label:28}{a:>16}{b:>16}" for label, a, b in rows
+    ]
 
 
 def provision_user_site(

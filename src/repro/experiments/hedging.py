@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.experiments import common
 from repro.faas.client import ComputeClient
-from repro.faas.hedging import HedgeConfig
+from repro.faas.hedging import HedgeConfig, HedgeStats
 from repro.faas.task import TaskState
-from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
+from repro.faults.profiles import build_profile
 from repro.telemetry.metrics import percentile
 from repro.world import World
 
@@ -117,14 +117,8 @@ class FailSlowRunResult:
     p50: float
     p95: float
     p99: float
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    hedges_cancelled: int = 0
-    hedges_lost: int = 0
-    wasted_seconds: float = 0.0
-    useful_seconds: float = 0.0
-    wasted_ratio: float = 0.0
-    stragglers_flagged: int = 0
+    # the plane's own counters; all zero for the unhedged run
+    hedge: HedgeStats
     # exactly-once audit: futures still pending at idle, and tasks that
     # emitted more than one ``task.completed`` (both must be zero)
     unresolved_futures: int = 0
@@ -137,11 +131,7 @@ def run_failslow(
     fault_free: bool = False,
 ) -> FailSlowRunResult:
     """One world, one seed, the full fail-slow workload."""
-    plan = (
-        None
-        if fault_free or params.profile in FAULT_FREE_PROFILES
-        else build_profile(params.profile, params.seed)
-    )
+    plan = None if fault_free else build_profile(params.profile, params.seed)
     world = World(
         telemetry=True,
         streaming_metrics=True,
@@ -160,21 +150,14 @@ def run_failslow(
     common.deploy_site_mep_pool(world, FAILSLOW_SITE, size=params.endpoints)
     function_id = client.register_function(common.virtual_work, "failslow-work")
 
-    arrivals = generate_failslow_workload(params)
     futures = []
-
-    def _submit(arrival: HedgeArrival) -> None:
-        futures.append(
+    started_at = common.run_open_loop(
+        world,
+        generate_failslow_workload(params),
+        lambda arrival: futures.append(
             client.submit(FAILSLOW_SITE, function_id, arrival.duration)
-        )
-
-    started_at = world.clock.now
-    for arrival in arrivals:
-        world.clock.call_after(arrival.at, lambda a=arrival: _submit(a))
-    if plan is not None:
-        world.arm_faults()
-    world.clock.run_until_idle()
-    world.slo.finish(world.clock.now)
+        ),
+    )
 
     tasks = world.faas.tasks_for(user.identity.urn)
     latencies: List[float] = []
@@ -195,7 +178,6 @@ def run_failslow(
         completions[task_id] = completions.get(task_id, 0) + 1
 
     controller = world.faas.hedging
-    stats = controller.stats if controller is not None else None
     return FailSlowRunResult(
         params=params,
         hedged=hedged,
@@ -206,14 +188,7 @@ def run_failslow(
         p50=percentile(latencies, 50.0),
         p95=percentile(latencies, 95.0),
         p99=percentile(latencies, 99.0),
-        hedges_launched=stats.hedges_launched if stats else 0,
-        hedges_won=stats.hedges_won if stats else 0,
-        hedges_cancelled=stats.hedges_cancelled if stats else 0,
-        hedges_lost=stats.hedges_lost if stats else 0,
-        wasted_seconds=stats.wasted_seconds if stats else 0.0,
-        useful_seconds=stats.useful_seconds if stats else 0.0,
-        wasted_ratio=stats.wasted_ratio() if stats else 0.0,
-        stragglers_flagged=stats.stragglers_flagged if stats else 0,
+        hedge=controller.stats if controller is not None else HedgeStats(),
         unresolved_futures=sum(1 for f in futures if not f.done()),
         double_resolutions=sum(1 for n in completions.values() if n > 1),
     )
@@ -251,35 +226,6 @@ def run_fig4_failslow(params: HedgingParams) -> FailSlowComparison:
     )
 
 
-def run_suite_failslow(
-    spec,
-    seed: int = 7,
-    profile: str = "",
-    policy: str = "least-loaded",
-    pool_size: int = 3,
-    params: Optional[HedgingParams] = None,
-):
-    """Run a declarative suite through FaaS with hedged execution armed.
-
-    Thin entry point for ``repro suite run <file> --hedge``: every suite
-    instance is submitted as an async CORRECT task under the same hedge
-    tuning the synthetic experiment uses, sized by ``params`` (default
-    :class:`HedgingParams` at the given seed). Returns the
-    :class:`~repro.suites.sweep.SweepResult`.
-    """
-    from repro.suites import run_sweep
-
-    params = params or HedgingParams(seed=seed, endpoints=pool_size)
-    return run_sweep(
-        spec,
-        seed=seed,
-        profile=profile,
-        policy=policy,
-        pool_size=pool_size,
-        hedge=hedge_config(params),
-    )
-
-
 def format_hedging_report(comparison: FailSlowComparison) -> str:
     """The fail-slow defense figure, deterministic to the byte."""
     p = comparison.params
@@ -291,36 +237,34 @@ def format_hedging_report(comparison: FailSlowComparison) -> str:
         f"{p.mean_interarrival:g}s; durations "
         f"{p.min_seconds:g}-{p.max_seconds:g}s over {p.horizon:g}s",
         "",
-        f"{'':28}{'defense-off':>16}{'defense-on':>16}",
     ]
-    rows = [
+    lines += common.comparison_table("defense-off", "defense-on", [
         ("completed / submitted", f"{off.completed}/{off.submitted}",
          f"{on.completed}/{on.submitted}"),
         ("makespan (s)", f"{off.makespan:.1f}", f"{on.makespan:.1f}"),
         ("p50 latency (s)", f"{off.p50:.1f}", f"{on.p50:.1f}"),
         ("p95 latency (s)", f"{off.p95:.1f}", f"{on.p95:.1f}"),
         ("p99 latency (s)", f"{off.p99:.1f}", f"{on.p99:.1f}"),
-        ("stragglers flagged", str(off.stragglers_flagged),
-         str(on.stragglers_flagged)),
-        ("hedges launched", str(off.hedges_launched),
-         str(on.hedges_launched)),
-        ("hedges won / cancelled", f"{off.hedges_won}/{off.hedges_cancelled}",
-         f"{on.hedges_won}/{on.hedges_cancelled}"),
-        ("wasted work (s)", f"{off.wasted_seconds:.1f}",
-         f"{on.wasted_seconds:.1f}"),
-        ("wasted work share", f"{off.wasted_ratio * 100:.1f}%",
-         f"{on.wasted_ratio * 100:.1f}%"),
-    ]
-    lines.extend(
-        f"{label:28}{left:>16}{right:>16}" for label, left, right in rows
-    )
+        ("stragglers flagged", str(off.hedge.stragglers_flagged),
+         str(on.hedge.stragglers_flagged)),
+        ("hedges launched", str(off.hedge.hedges_launched),
+         str(on.hedge.hedges_launched)),
+        ("hedges won / cancelled",
+         f"{off.hedge.hedges_won}/{off.hedge.hedges_cancelled}",
+         f"{on.hedge.hedges_won}/{on.hedge.hedges_cancelled}"),
+        ("wasted work (s)", f"{off.hedge.wasted_seconds:.1f}",
+         f"{on.hedge.wasted_seconds:.1f}"),
+        ("wasted work share", f"{off.hedge.wasted_ratio() * 100:.1f}%",
+         f"{on.hedge.wasted_ratio() * 100:.1f}%"),
+    ])
     lines.append("")
     lines.append(
         f"p95 cut: {comparison.p95_cut * 100:.1f}%   "
         f"p99 cut: {comparison.p99_cut * 100:.1f}% (gate: >=30%)"
     )
     lines.append(
-        f"wasted work share: {on.wasted_ratio * 100:.1f}% (gate: <=10%)"
+        f"wasted work share: {on.hedge.wasted_ratio() * 100:.1f}% "
+        "(gate: <=10%)"
     )
     lines.append(
         "double resolutions: "
@@ -330,5 +274,5 @@ def format_hedging_report(comparison: FailSlowComparison) -> str:
         "unresolved futures: "
         f"{off.unresolved_futures + on.unresolved_futures + quiet.unresolved_futures}"
     )
-    lines.append(f"hedges on fault-free run: {quiet.hedges_launched}")
+    lines.append(f"hedges on fault-free run: {quiet.hedge.hedges_launched}")
     return "\n".join(lines)

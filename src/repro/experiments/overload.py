@@ -24,7 +24,7 @@ All arrivals, durations, and priorities come from per-tenant
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import common
@@ -34,10 +34,11 @@ from repro.faas.overload import (
     PRIORITY_CRITICAL,
     PRIORITY_NORMAL,
     OverloadConfig,
+    OverloadStats,
 )
 from repro.faas.task import TaskState
 from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
-from repro.faults.resilience import RetryPolicy
+from repro.faults.resilience import ResilienceStats, RetryPolicy
 from repro.telemetry.metrics import percentile
 from repro.telemetry.slo import overload_slo_pack
 from repro.world import World
@@ -186,11 +187,8 @@ class TenantReport:
     urn: str
     hot: bool
     submitted: int = 0
-    rejected: int = 0
-    shed: int = 0
     completed: int = 0
     first_attempt: int = 0
-    timeouts: int = 0
     p95_queue_wait: Optional[float] = None
 
 
@@ -203,17 +201,13 @@ class OverloadRunResult:
     goodput: float
     submitted: int
     completed: int
-    tenants: List[TenantReport] = field(default_factory=list)
-    admitted: int = 0
-    rejected: int = 0
-    shed: int = 0
-    brownouts: int = 0
+    tenants: List[TenantReport]
+    # the planes' own counters; the overload ones all zero when
+    # protection is off
+    stats: OverloadStats
+    resilience: ResilienceStats
+    # counts a brownout still open at the end, which ``stats`` does not
     brownout_seconds: float = 0.0
-    backoffs: int = 0
-    retries: int = 0
-    retries_denied: int = 0
-    give_ups: int = 0
-    timeouts: int = 0
     alerts_fired: int = 0
 
     @property
@@ -234,17 +228,12 @@ def run_overload(
     ``replay_journal`` replays journaled successes instead of executing
     them — the PR 4 resume path, used to prove shed counts reproduce.
     """
-    plan = (
-        None
-        if params.profile in FAULT_FREE_PROFILES
-        else build_profile(params.profile, params.seed)
-    )
     if protection and config is None:
         config = overload_config(params)
     world = World(
         telemetry=True,
         streaming_metrics=True,
-        faults=plan,
+        faults=build_profile(params.profile, params.seed),
         retry_policy=RetryPolicy(seed=params.seed, **OVERLOAD_RETRY),
         # offline endpoints reject at dispatch (retryably), not at the
         # cloud's front door — outages must not raise out of submit
@@ -276,37 +265,18 @@ def run_overload(
         for index, client in enumerate(clients)
     ]
 
-    arrivals = generate_workload(params)
-    futures = []
-
     def _submit(arrival: Arrival) -> None:
-        futures.append(
-            clients[arrival.tenant].submit(
-                OVERLOAD_SITE,
-                function_ids[arrival.tenant],
-                arrival.duration,
-                timeout=params.deadline,
-                priority=arrival.priority,
-            )
+        clients[arrival.tenant].submit(
+            OVERLOAD_SITE,
+            function_ids[arrival.tenant],
+            arrival.duration,
+            timeout=params.deadline,
+            priority=arrival.priority,
         )
 
-    started_at = world.clock.now
-    for arrival in arrivals:
-        world.clock.call_after(arrival.at, lambda a=arrival: _submit(a))
-    if plan is not None:
-        world.arm_faults()
-    world.clock.run_until_idle()
+    started_at = common.run_open_loop(world, generate_workload(params), _submit)
     end = world.clock.now
-    world.slo.finish(end)
     makespan = max(end - started_at, 1e-9)
-
-    by_urn = {report.urn: report for report in reports}
-    for event in world.events.query("faas", "task.rejected"):
-        report = by_urn.get(event.data.get("tenant", ""))
-        if report is not None:
-            report.rejected += 1
-            if event.data.get("reason") == "shed":
-                report.shed += 1
 
     total_first = 0
     for report in reports:
@@ -318,8 +288,6 @@ def run_overload(
                 report.completed += 1
                 if task.attempts == 1:
                     report.first_attempt += 1
-            if task.exception_text.startswith("TaskTimeout"):
-                report.timeouts += 1
             wait = task.queue_latency
             if wait is not None:
                 waits.append(wait)
@@ -328,7 +296,6 @@ def run_overload(
         total_first += report.first_attempt
 
     controller = world.faas.overload
-    resilience = world.faas.resilience
     return OverloadRunResult(
         params=params,
         protection=protection,
@@ -338,24 +305,11 @@ def run_overload(
         submitted=sum(r.submitted for r in reports),
         completed=sum(r.completed for r in reports),
         tenants=reports,
-        admitted=(
-            controller.stats.admitted
-            if controller is not None
-            else sum(r.submitted for r in reports)
-        ),
-        rejected=controller.stats.rejected if controller is not None else 0,
-        shed=controller.stats.shed if controller is not None else 0,
-        brownouts=controller.stats.brownouts if controller is not None else 0,
+        stats=controller.stats if controller is not None else OverloadStats(),
+        resilience=world.faas.resilience,
         brownout_seconds=(
             controller.brownout_seconds(end) if controller is not None else 0.0
         ),
-        backoffs=controller.stats.backoffs if controller is not None else 0,
-        retries=resilience.retries,
-        retries_denied=(
-            controller.stats.retries_denied if controller is not None else 0
-        ),
-        give_ups=resilience.give_ups,
-        timeouts=resilience.timeouts,
         alerts_fired=world.slo.alerts_fired,
     )
 
@@ -402,36 +356,6 @@ def run_overload_comparison(params: OverloadParams) -> OverloadComparison:
     return OverloadComparison(params, baseline, unprotected, protected)
 
 
-def run_suite_overload(
-    spec,
-    seed: int = 7,
-    profile: str = "",
-    policy: str = "least-loaded",
-    pool_size: int = 4,
-    params: Optional[OverloadParams] = None,
-):
-    """Run a declarative suite through FaaS with the protection plane armed.
-
-    Thin entry point for ``repro suite run <file> --overload``: every
-    suite instance is submitted as an async CORRECT task with the same
-    admission/AIMD/shed tuning the synthetic experiment uses, sized by
-    ``params`` (default :class:`OverloadParams` at the given seed).
-    Returns the :class:`~repro.suites.sweep.SweepResult`.
-    """
-    from repro.suites import run_sweep
-
-    # one tenant submits the whole suite, so don't split capacity four ways
-    params = params or OverloadParams(seed=seed, tenants=1, endpoints=pool_size)
-    return run_sweep(
-        spec,
-        seed=seed,
-        profile=profile,
-        policy=policy,
-        pool_size=pool_size,
-        overload=overload_config(params),
-    )
-
-
 def format_overload_report(comparison: OverloadComparison) -> str:
     """The goodput-under-overload figure, deterministic to the byte."""
     p = comparison.params
@@ -443,28 +367,25 @@ def format_overload_report(comparison: OverloadComparison) -> str:
         f"{p.mean_seconds:g}s; deadline {p.deadline:g}s; "
         f"hot tenant at {p.hot_factor:g}x fair share",
         "",
-        f"{'':28}{'protection-off':>16}{'protection-on':>16}",
     ]
-    rows = [
+    lines += common.comparison_table("protection-off", "protection-on", [
         ("goodput (first-try/s)", f"{off.goodput:.4f}", f"{on.goodput:.4f}"),
         ("makespan (s)", f"{off.makespan:.1f}", f"{on.makespan:.1f}"),
         ("completed / submitted", f"{off.completed}/{off.submitted}",
          f"{on.completed}/{on.submitted}"),
-        ("rejected (quota+aimd)", str(off.rejected - off.shed),
-         str(on.rejected - on.shed)),
-        ("shed (priority)", str(off.shed), str(on.shed)),
-        ("retries / denied", f"{off.retries}/{off.retries_denied}",
-         f"{on.retries}/{on.retries_denied}"),
-        ("give-ups", str(off.give_ups), str(on.give_ups)),
-        ("timeouts", str(off.timeouts), str(on.timeouts)),
-        ("aimd backoffs", str(off.backoffs), str(on.backoffs)),
+        ("rejected (quota+aimd)", str(off.stats.rejected - off.stats.shed),
+         str(on.stats.rejected - on.stats.shed)),
+        ("shed (priority)", str(off.stats.shed), str(on.stats.shed)),
+        ("retries / denied",
+         f"{off.resilience.retries}/{off.stats.retries_denied}",
+         f"{on.resilience.retries}/{on.stats.retries_denied}"),
+        ("give-ups", str(off.resilience.give_ups), str(on.resilience.give_ups)),
+        ("timeouts", str(off.resilience.timeouts), str(on.resilience.timeouts)),
+        ("aimd backoffs", str(off.stats.backoffs), str(on.stats.backoffs)),
         ("brownout (s)", f"{off.brownout_seconds:.1f}",
          f"{on.brownout_seconds:.1f}"),
         ("alerts fired", str(off.alerts_fired), str(on.alerts_fired)),
-    ]
-    lines.extend(
-        f"{label:28}{left:>16}{right:>16}" for label, left, right in rows
-    )
+    ])
     lines.append("")
     lines.append(
         f"{'tenant':12}{'role':>8}{'fair p95':>12}{'off p95':>12}{'on p95':>12}"
@@ -496,5 +417,5 @@ def format_overload_report(comparison: OverloadComparison) -> str:
         "victim p95 within 1.5x fair baseline: "
         f"{'yes' if comparison.victims_within(1.5) else 'no'}"
     )
-    lines.append(f"sheds under protection: {on.shed}")
+    lines.append(f"sheds under protection: {on.stats.shed}")
     return "\n".join(lines)

@@ -454,19 +454,3 @@ class OverloadController:
         if self._brownout_since is not None:
             total += now - self._brownout_since
         return total
-
-    def snapshot(self) -> Dict[str, float]:
-        stats = self.stats
-        return {
-            "admitted": stats.admitted,
-            "rejected": stats.rejected,
-            "rejected_rate": stats.rejected_rate,
-            "rejected_inflight": stats.rejected_inflight,
-            "rejected_concurrency": stats.rejected_concurrency,
-            "shed": stats.shed,
-            "backoffs": stats.backoffs,
-            "retries_allowed": stats.retries_allowed,
-            "retries_denied": stats.retries_denied,
-            "brownouts": stats.brownouts,
-            "pending": self.pending,
-        }

@@ -13,7 +13,7 @@ the profile which site is "victim" and which is "hard-down".
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.faults.plan import (
     EndpointOutage,
@@ -22,7 +22,6 @@ from repro.faults.plan import (
     NetworkPartition,
     PerfDegradation,
     TaskError,
-    FaultPlan as _FaultPlan,  # noqa: F401 - re-export convenience
     WalltimeKill,
 )
 
@@ -204,8 +203,14 @@ CHAOS_RETRY = dict(
 )
 
 
-def build_profile(name: str, seed: int) -> FaultPlan:
-    """Build the named profile's plan for ``seed``."""
+def build_profile(name: str, seed: int) -> Optional[FaultPlan]:
+    """Build the named profile's plan for ``seed``.
+
+    Returns ``None`` for ``""`` and :data:`FAULT_FREE_PROFILES`, the
+    names of a run without faults; an unknown name raises.
+    """
+    if not name or name in FAULT_FREE_PROFILES:
+        return None
     builder = PROFILES.get(name)
     if builder is None:
         raise ValueError(

@@ -134,8 +134,8 @@ def prepare_suite(
 
     Order: World -> ``world_setup`` hook -> arm at-start faults ->
     register user -> publish containers -> per site (provision stack if
-    declared, deploy MEP or pool) -> declare fallbacks -> arm
-    after-setup faults -> render workflow. Fault times with
+    declared, deploy a pool of ``pool_size`` MEPs) -> declare fallbacks ->
+    arm after-setup faults -> render workflow. Fault times with
     ``after-setup`` mean "virtual seconds into the CI run", matching the
     chaos experiments.
     """
@@ -186,18 +186,12 @@ def prepare_suite(
         login_only = site_conf.login_only if site_conf else False
         walltime = site_conf.walltime if site_conf else 7200.0
         nodes = site_conf.nodes if site_conf else 1
-        if pool_size > 1:
-            pool = common.deploy_site_mep_pool(
-                world, site_name, pool_size,
-                login_only=login_only, walltime=walltime, nodes=nodes,
-            )
-            endpoints[site_name] = pool[0].endpoint_id
-        else:
-            mep = common.deploy_site_mep(
-                world, site_name,
-                login_only=login_only, walltime=walltime, nodes=nodes,
-            )
-            endpoints[site_name] = mep.endpoint_id
+        # a pool even of one, so ``route: pool`` jobs can name the site
+        pool = common.deploy_site_mep_pool(
+            world, site_name, pool_size,
+            login_only=login_only, walltime=walltime, nodes=nodes,
+        )
+        endpoints[site_name] = pool[0].endpoint_id
 
     for from_site, to_site in (fallbacks or {}).items():
         if from_site in endpoints and to_site in endpoints:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.faults.profiles import CHAOS_RETRY, FAULT_FREE_PROFILES, build_profile
+from repro.faults.profiles import CHAOS_RETRY, build_profile
 from repro.suites.parsers import make_parser
 from repro.suites.runner import InstanceResult, PreparedSuite, prepare_suite
 from repro.suites.spec import SuiteSpec, load_suite
@@ -79,9 +79,7 @@ def run_sweep(
     from repro.provenance.record import ExecutionRecord
 
     spec = load_suite(spec)
-    plan = None
-    if profile and profile not in FAULT_FREE_PROFILES:
-        plan = build_profile(profile, seed)
+    plan = build_profile(profile, seed)
     retry_policy = None
     if plan is not None:
         from repro.faults.resilience import RetryPolicy

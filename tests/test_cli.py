@@ -2,7 +2,13 @@
 
 import pytest
 
+import repro.suites
 from repro.cli import build_parser, main
+
+# every committed suite file; fig5 reproduces the upstream PSI/J bug, so
+# its run fails by design
+SUITES = sorted(path.stem for path in repro.suites.suites_root().glob("*.yaml"))
+SUITE_EXIT = {"fig5": 1}
 
 
 class TestParser:
@@ -102,6 +108,37 @@ class TestSuiteCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "Suite sweep — fig4" in out
+
+    @pytest.mark.parametrize("mode", [[], ["--permute"]], ids=["ci", "permute"])
+    @pytest.mark.parametrize("name", SUITES)
+    def test_every_committed_suite_runs(self, name, mode, capsys):
+        assert main(["suite", "run", name, *mode]) == SUITE_EXIT.get(name, 0)
+
+    @pytest.mark.parametrize("plane", ["--overload", "--hedge"])
+    def test_plane_sweep_honours_var_and_no_telemetry(
+        self, plane, monkeypatch, capsys
+    ):
+        seen = {}
+        run_sweep = repro.suites.run_sweep
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return run_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(repro.suites, "run_sweep", spy)
+        code = main([
+            "suite", "run", "fig4-sweep", plane,
+            "--var", "site=chameleon", "--no-telemetry",
+        ])
+        assert code == 0
+        assert "(5 instances, 5 active)" in capsys.readouterr().out
+        assert seen["telemetry"] is False
+
+
+def test_route_with_a_pool_of_one_reports_no_cut(capsys):
+    # one endpoint per site leaves the routed run nothing to spread over
+    assert main(["route", "fig4", "--pool-size", "1"]) == 1
+    assert "makespan cut: 0.0%" in capsys.readouterr().out
 
 
 def _exit_code(argv):

@@ -184,3 +184,7 @@ class TestPlansAndProfiles:
     def test_unknown_profile_raises(self):
         with pytest.raises(ValueError, match="unknown chaos profile"):
             build_profile("meteor-strike", 1)
+
+    @pytest.mark.parametrize("name", ["", "none", "off"])
+    def test_fault_free_names_build_no_plan(self, name):
+        assert build_profile(name, 7) is None

@@ -270,19 +270,19 @@ class TestFailSlowComparison:
         assert comparison.p99_cut >= 0.30
 
     def test_wasted_work_is_bounded(self, comparison):
-        assert comparison.hedged.wasted_ratio <= 0.10
+        assert comparison.hedged.hedge.wasted_ratio() <= 0.10
 
     def test_hedges_fire_and_win(self, comparison):
-        on = comparison.hedged
+        on = comparison.hedged.hedge
         assert on.hedges_launched > 0
         assert on.hedges_won > 0
         assert on.stragglers_flagged >= 1
         off = comparison.unhedged
-        assert off.hedges_launched == 0
+        assert off.hedge.hedges_launched == 0
         assert off.world.faas.hedging is None
 
     def test_fault_free_run_is_quiescent(self, comparison):
-        quiet = comparison.fault_free
+        quiet = comparison.fault_free.hedge
         assert quiet.hedges_launched == 0
         assert quiet.wasted_seconds == 0.0
         assert quiet.stragglers_flagged == 0
@@ -302,7 +302,7 @@ class TestFailSlowComparison:
             t for t in world.faas.tasks_for(user_urn)
             if getattr(t, "hedge_won", False)
         ]
-        assert len(winners) == comparison.hedged.hedges_won
+        assert len(winners) == comparison.hedged.hedge.hedges_won
         for task in winners:
             assert task.hedged
             assert task.loser_endpoint
@@ -315,9 +315,9 @@ class TestFailSlowComparison:
         assert (replay.p50, replay.p95, replay.p99) == (
             hedged.p50, hedged.p95, hedged.p99
         )
-        assert replay.hedges_launched == hedged.hedges_launched
-        assert replay.hedges_won == hedged.hedges_won
-        assert replay.wasted_seconds == hedged.wasted_seconds
+        assert replay.hedge.hedges_launched == hedged.hedge.hedges_launched
+        assert replay.hedge.hedges_won == hedged.hedge.hedges_won
+        assert replay.hedge.wasted_seconds == hedged.hedge.wasted_seconds
         first = [
             (e.time, e.kind) for e in hedged.world.events.query("faas")
         ]

@@ -240,9 +240,9 @@ class TestShedReplay:
         replayed = run_overload(
             params, protection=True, config=tight, replay_journal=journal
         )
-        assert live.shed > 0
-        assert replayed.shed == live.shed
-        assert replayed.rejected == live.rejected
+        assert live.stats.shed > 0
+        assert replayed.stats.shed == live.stats.shed
+        assert replayed.stats.rejected == live.stats.rejected
 
 
 class TestCLI:
