@@ -38,6 +38,22 @@ PINNED = [
     ),
     ("chaos-fig4-seed7", ["chaos", "fig4", "--seed", "7"],
      "chaos-fig4-seed7.txt", 0),
+    # faster's pilot is killed under a payload at t=300.23: one
+    # WalltimeExceeded retry onto a re-provisioned block
+    (
+        "chaos-fig4-walltime-seed11",
+        ["chaos", "fig4", "--seed", "11", "--profile", "walltime"],
+        "chaos-fig4-walltime-seed11.txt",
+        0,
+    ),
+    # two partition windows on faster: NetworkPartitioned retries,
+    # failovers and one breaker trip
+    (
+        "chaos-fig4-partition-seed2",
+        ["chaos", "fig4", "--seed", "2", "--profile", "partition"],
+        "chaos-fig4-partition-seed2.txt",
+        0,
+    ),
     ("chaos-fig5", ["chaos", "fig5"], "chaos-fig5.txt", 0),
     (
         "route-fig4",
