@@ -509,7 +509,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
                 overload = overload_config(OverloadParams(
                     seed=args.seed, tenants=1, endpoints=args.pool_size,
                 ))
-            elif args.hedge:
+            if args.hedge:
                 hedge = hedge_config(HedgingParams())
             sweep = run_sweep(
                 args.suite, seed=args.seed, profile=args.profile,

@@ -20,25 +20,22 @@ from repro.telemetry import tracer_of
 class PilotExecutor:
     """Executes functions on a pilot block, provisioning lazily.
 
-    The first :meth:`submit` pays block-provisioning cost (queue wait on
-    batch sites); subsequent tasks reuse the warm block — the amortization
-    the paper credits for "the benefits of adopting a FaaS based model"
-    on short tests (§6.1).
+    The first task pays block-provisioning cost (queue wait on batch
+    sites); later tasks reuse the warm block — the amortization the paper
+    credits for "the benefits of adopting a FaaS based model" on short
+    tests (§6.1).
 
-    Two submission paths share the same accounting:
-
-    * :meth:`submit` — blocking in virtual time; provisioning and the
-      task body advance the shared clock inline.
-    * :meth:`submit_async` — deferred; provisioning is a scheduled event
-      (queue wait becomes pending clock events, overlapping with work on
-      other executors) and the task body is costed in a
-      :meth:`~repro.util.clock.SimClock.measure` region, with completion
-      delivered by callback at ``start + elapsed``.
+    Every task takes one path, :meth:`submit_async`: provisioning is a
+    scheduled event (queue wait becomes pending clock events, overlapping
+    with work on other executors) and the task body is costed in a
+    :meth:`~repro.util.clock.SimClock.measure` region, with completion
+    delivered by callback at ``start + elapsed``. :meth:`submit` is a thin
+    driver over it that waits on the task's future.
     """
 
-    def __init__(self, provider: Provider, user: Optional[str] = None) -> None:
+    def __init__(self, provider: Provider) -> None:
         self.provider = provider
-        self.user = user or provider.user
+        self.user = provider.user
         self._block: Optional[Block] = None
         self._provisioning = False
         self._ready_waiters: list = []
@@ -54,7 +51,7 @@ class PilotExecutor:
     def site(self):
         return self.provider.site
 
-    def _adopt_block(self, block: Block) -> Block:
+    def _adopt_block(self, block: Block) -> None:
         """Record one provisioned block — first provision *or* re-provision
         after a dead block both land here, so ``total_queue_wait`` always
         reflects every queue wait actually paid."""
@@ -67,7 +64,6 @@ class PilotExecutor:
             node_class=block.node_class, job_id=block.job_id or "",
             queue_wait=block.queue_wait,
         )
-        return block
 
     def _live_block(self) -> Optional[Block]:
         """The current block if it is still usable, else None."""
@@ -78,25 +74,17 @@ class PilotExecutor:
         self._block.active = False
         return None
 
-    def ensure_block(self) -> Block:
-        """Provision a block if none is active; returns the live block."""
-        block = self._live_block()
-        if block is not None:
-            return block
-        return self._adopt_block(self.provider.start_block())
-
     def ensure_block_async(
         self,
         on_ready: Callable[[Block], None],
-        on_error: Optional[Callable[[BaseException], None]] = None,
+        on_error: Callable[[BaseException], None],
     ) -> None:
-        """Event-driven :meth:`ensure_block`: ``on_ready(block)`` fires once
-        a live block exists, without advancing the caller's timeline.
+        """Call ``on_ready(block)`` once a live block exists, provisioning
+        one if needed, without advancing the caller's timeline.
 
         Concurrent callers while a provision is in flight queue up and
         share the one new block — one pilot job, not one per waiter. A
-        provisioning failure fans out to every waiter's ``on_error``
-        (raising for waiters that passed none).
+        provisioning failure fans out to every waiter's ``on_error``.
         """
         block = self._live_block()
         if block is not None:
@@ -118,8 +106,6 @@ class PilotExecutor:
             self._provisioning = False
             waiters, self._ready_waiters = self._ready_waiters, []
             for _, err_cb in waiters:
-                if err_cb is None:
-                    raise error
                 err_cb(error)
 
         self.provider.start_block_async(adopted, failed)
@@ -145,10 +131,6 @@ class PilotExecutor:
         self._handle_cache = (node, handle)
         return handle
 
-    def node_handle(self) -> NodeHandle:
-        """A handle on the first node of the (ensured) block."""
-        return self._handle_for(self.ensure_block())
-
     def _check_block_job(self, block: Block) -> None:
         """Raise if the backing batch job died under the task."""
         if block.job_id is None:
@@ -170,22 +152,25 @@ class PilotExecutor:
             )
 
     def submit(self, fn: Callable[[NodeHandle], Any]) -> Any:
-        """Run ``fn(handle)`` on the pilot; returns its result.
+        """Run ``fn(handle)`` through :meth:`submit_async` and wait for it.
 
-        If the backing batch job dies mid-task (walltime), raises
-        :class:`WalltimeExceeded` — the payload would have been killed.
+        Drives the shared clock until the task completes; returns its
+        result or raises its error — :class:`WalltimeExceeded` when the
+        backing batch job died under the payload.
         """
-        block = self.ensure_block()
-        handle = self._handle_for(block)
-        self.tasks_run += 1
-        with tracer_of(self.site.clock).span(
-            f"node:{handle.node.name}", kind="node",
-            site=self.site.name, node=handle.node.name,
-            node_class=block.node_class, user=self.user,
-        ):
-            result = fn(handle)
-        self._check_block_job(block)
-        return result
+        # repro.faas imports this module, so its future is imported late
+        from repro.faas.future import Future
+
+        future = Future(self.site.clock)
+
+        def on_done(result: Any, error: Optional[BaseException]) -> None:
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+
+        self.submit_async(fn, on_done)
+        return future.result()
 
     def submit_async(
         self,

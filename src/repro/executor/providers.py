@@ -12,6 +12,9 @@ from repro.scheduler.jobs import Job, JobState
 from repro.scheduler.nodes import Node
 from repro.sites.site import Site
 
+# seconds of process spin-up before a login-node block is usable
+STARTUP_OVERHEAD = 2.0
+
 
 @dataclass
 class Block:
@@ -26,30 +29,28 @@ class Block:
 
 
 class Provider(abc.ABC):
-    """Provisions blocks of nodes on a site for one user."""
+    """Provisions blocks of nodes on a site for one user.
+
+    Provisioning never blocks virtual time: :meth:`start_block_async`
+    hands the block over from a clock event or a scheduler start
+    callback, so a queue wait on one site overlaps with work everywhere
+    else.
+    """
 
     def __init__(self, site: Site, user: str) -> None:
         self.site = site
         self.user = user
 
     @abc.abstractmethod
-    def start_block(self) -> Block:
-        """Provision one block, advancing virtual time until it is usable."""
-
-    @abc.abstractmethod
     def start_block_async(
         self,
         on_ready: Callable[[Block], None],
-        on_error: Optional[Callable[[BaseException], None]] = None,
+        on_error: Callable[[BaseException], None],
     ) -> None:
-        """Provision one block without blocking virtual time.
+        """Provision one block; ``on_ready(block)`` fires once it is usable.
 
-        ``on_ready(block)`` fires (via a clock event or a scheduler
-        start callback) once the block is usable. Unlike
-        :meth:`start_block`, the caller's timeline is not advanced:
-        provisioning delay on one site overlaps with work everywhere
-        else. A provisioning failure (an armed provision flake) goes to
-        ``on_error(exc)``; with no handler it raises.
+        A provisioning failure (an armed provision flake) goes to
+        ``on_error(exc)``.
         """
 
     def _provision_fault(self) -> Optional[BaseException]:
@@ -60,27 +61,15 @@ class Provider(abc.ABC):
     def release_block(self, block: Block) -> None:
         """Return the block's resources."""
 
-    @property
-    @abc.abstractmethod
-    def node_class(self) -> str:
-        """Node class blocks run on ('login' or 'compute')."""
-
 
 class LocalProvider(Provider):
     """Runs on the login node itself — no scheduler involved.
 
     Used for operations that need outbound network on restricted sites
     (cloning the repository, §6.1) and for login-node test suites like
-    PSI/J's (§6.2). ``startup_overhead`` models process spin-up.
+    PSI/J's (§6.2). A block is usable :data:`STARTUP_OVERHEAD` seconds
+    after it is asked for.
     """
-
-    def __init__(self, site: Site, user: str, startup_overhead: float = 2.0) -> None:
-        super().__init__(site, user)
-        self.startup_overhead = startup_overhead
-
-    @property
-    def node_class(self) -> str:
-        return "login"
 
     def _make_block(self) -> Block:
         return Block(
@@ -90,26 +79,17 @@ class LocalProvider(Provider):
             queue_wait=0.0,
         )
 
-    def start_block(self) -> Block:
-        fault = self._provision_fault()
-        if fault is not None:
-            raise fault
-        self.site.clock.advance(self.startup_overhead)
-        return self._make_block()
-
     def start_block_async(
         self,
         on_ready: Callable[[Block], None],
-        on_error: Optional[Callable[[BaseException], None]] = None,
+        on_error: Callable[[BaseException], None],
     ) -> None:
         fault = self._provision_fault()
         if fault is not None:
-            if on_error is None:
-                raise fault
             on_error(fault)
             return
         self.site.clock.call_after(
-            self.startup_overhead, lambda: on_ready(self._make_block())
+            STARTUP_OVERHEAD, lambda: on_ready(self._make_block())
         )
 
     def release_block(self, block: Block) -> None:
@@ -119,7 +99,7 @@ class LocalProvider(Provider):
 class SlurmProvider(Provider):
     """Provisions blocks through the site's batch scheduler.
 
-    Submits an open-ended pilot job and advances virtual time until the
+    Submits an open-ended pilot job and hands the block over when the
     scheduler starts it; the queue wait is recorded on the block so
     experiments can report it separately from execution time.
     """
@@ -141,10 +121,6 @@ class SlurmProvider(Provider):
         self.nodes_per_block = nodes_per_block
         self.walltime = walltime
 
-    @property
-    def node_class(self) -> str:
-        return "compute"
-
     def _pilot_job(self) -> Job:
         return Job(
             user=self.user,
@@ -164,25 +140,10 @@ class SlurmProvider(Provider):
             queue_wait=job.queue_wait or 0.0,
         )
 
-    def start_block(self) -> Block:
-        fault = self._provision_fault()
-        if fault is not None:
-            raise fault
-        scheduler = self.site.scheduler
-        assert scheduler is not None
-        job = self._pilot_job()
-        job_id = scheduler.submit(job)
-        scheduler.wait_for_start(job_id)
-        if job.state is not JobState.RUNNING:
-            raise ExecutorError(
-                f"pilot job {job_id} did not start (state {job.state.value})"
-            )
-        return self._block_from_job(job)
-
     def start_block_async(
         self,
         on_ready: Callable[[Block], None],
-        on_error: Optional[Callable[[BaseException], None]] = None,
+        on_error: Callable[[BaseException], None],
     ) -> None:
         """Submit the pilot and hand the block over when the job starts.
 
@@ -192,8 +153,6 @@ class SlurmProvider(Provider):
         """
         fault = self._provision_fault()
         if fault is not None:
-            if on_error is None:
-                raise fault
             on_error(fault)
             return
         scheduler = self.site.scheduler

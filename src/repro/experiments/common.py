@@ -87,6 +87,19 @@ def provision_user_site(
     handle.io(downloaded)
 
 
+def _site_templates(
+    site_name: str, login_only: bool, walltime: float, nodes: int
+) -> Dict[str, EndpointTemplate]:
+    """The paper's per-site MEP template, keyed as ``"default"``."""
+    partition = None if login_only else SITE_PARTITIONS[site_name]
+    return {"default": EndpointTemplate(
+        name="default",
+        compute_partition=partition,
+        nodes_per_block=nodes,
+        walltime=walltime,
+    )}
+
+
 def deploy_site_mep(
     world: World,
     site_name: str,
@@ -103,14 +116,10 @@ def deploy_site_mep(
     ``walltime``/``nodes`` are the scheduler requirements a declarative
     suite may override per site.
     """
-    partition = None if login_only else SITE_PARTITIONS[site_name]
-    template = EndpointTemplate(
-        name="default",
-        compute_partition=partition,
-        nodes_per_block=nodes,
-        walltime=walltime,
+    return world.deploy_mep(
+        site_name,
+        templates=_site_templates(site_name, login_only, walltime, nodes),
     )
-    return world.deploy_mep(site_name, templates={"default": template})
 
 
 def deploy_site_mep_pool(
@@ -128,15 +137,9 @@ def deploy_site_mep_pool(
     Submissions targeting the site name route through the placement
     policy of ``world.faas``.
     """
-    partition = None if login_only else SITE_PARTITIONS[site_name]
-    template = EndpointTemplate(
-        name="default",
-        compute_partition=partition,
-        nodes_per_block=nodes,
-        walltime=walltime,
-    )
     return world.deploy_mep_pool(
-        site_name, size, templates={"default": template}
+        site_name, size,
+        templates=_site_templates(site_name, login_only, walltime, nodes),
     )
 
 

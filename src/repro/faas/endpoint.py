@@ -73,9 +73,7 @@ class UserEndpoint:
         # on; task activity heartbeats it, expiry takes the endpoint down
         self.lease = None
 
-        self._login_executor = PilotExecutor(
-            LocalProvider(site, local_user), user=local_user
-        )
+        self._login_executor = PilotExecutor(LocalProvider(site, local_user))
         self._compute_executor: Optional[PilotExecutor] = None
         if self.template.compute_partition is not None:
             self._compute_executor = PilotExecutor(
@@ -85,8 +83,7 @@ class UserEndpoint:
                     partition=self.template.compute_partition,
                     nodes_per_block=self.template.nodes_per_block,
                     walltime=self.template.walltime,
-                ),
-                user=local_user,
+                )
             )
 
     # -- security ----------------------------------------------------------
@@ -118,12 +115,6 @@ class UserEndpoint:
 
         return task_body
 
-    def execute(self, spec: FunctionSpec, args: tuple, kwargs: dict):
-        """Run one task; returns the function's result (or raises)."""
-        self.check_function_allowed(spec)
-        executor = self._executor_for(spec)
-        return executor.submit(self._task_body(spec, args, kwargs))
-
     def execute_async(
         self,
         spec: FunctionSpec,
@@ -131,9 +122,9 @@ class UserEndpoint:
         kwargs: dict,
         on_done: Callable[[Any, Optional[BaseException]], None],
     ) -> None:
-        """Deferred :meth:`execute`: ``on_done(result, error)`` fires at the
-        task's virtual completion time. Allow-list violations raise
-        immediately — no code runs, so no time passes (§5.2)."""
+        """Run one task; ``on_done(result, error)`` fires at the task's
+        virtual completion time. Allow-list violations raise immediately
+        — no code runs, so no time passes (§5.2)."""
         self.check_function_allowed(spec)
         executor = self._executor_for(spec)
         tracer = tracer_of(self.site.clock)
@@ -241,18 +232,6 @@ class MultiUserEndpoint:
             }
         )
 
-    def execute(
-        self,
-        token: Token,
-        spec: FunctionSpec,
-        args: tuple,
-        kwargs: dict,
-        template_name: str = "default",
-    ):
-        uep = self.user_endpoint(token, template_name)
-        self._audit_task(token, spec)
-        return uep.execute(spec, args, kwargs)
-
     def execute_async(
         self,
         token: Token,
@@ -262,9 +241,10 @@ class MultiUserEndpoint:
         on_done: Callable[[Any, Optional[BaseException]], None],
         template_name: str = "default",
     ) -> None:
-        """Deferred :meth:`execute`. Policy, identity mapping, and template
-        resolution still raise synchronously at dispatch — an unmapped or
-        policy-violating identity never reaches a local account."""
+        """Run one task on the token's UEP (see
+        :meth:`UserEndpoint.execute_async`). Policy, identity mapping, and
+        template resolution raise synchronously at dispatch — an unmapped
+        or policy-violating identity never reaches a local account."""
         uep = self.user_endpoint(token, template_name)
         self._audit_task(token, spec)
         tracer = tracer_of(self.site.clock)

@@ -645,19 +645,6 @@ class FaaSService:
                 future.resolve_from_task()
 
     # -- results ---------------------------------------------------------------
-    def drive_until_complete(self, task_id: str) -> Task:
-        """Advance virtual time event-by-event until the task is terminal."""
-        task = self.get_task(task_id)
-        while not task.state.is_terminal:
-            nxt = self.clock.next_event_time()
-            if nxt is None:
-                raise TaskFailed(
-                    f"task {task_id} cannot complete: no pending events "
-                    f"(state {task.state.value})"
-                )
-            self.clock.run_until(nxt)
-        return task
-
     def get_task(self, task_id: str) -> Task:
         try:
             return self._tasks[task_id]
@@ -673,7 +660,7 @@ class FaaSService:
     def get_result(self, task_id: str):
         """Result of a task, driven to completion in virtual time first;
         raises :class:`TaskFailed` carrying the remote error."""
-        task = self.drive_until_complete(task_id)
+        task = self.get_future(task_id).wait().task
         if task.state is TaskState.FAILED:
             raise TaskFailed(
                 f"task {task_id} failed remotely",

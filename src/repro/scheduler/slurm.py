@@ -45,7 +45,6 @@ class SlurmScheduler:
         }
         self._end_handles: Dict[str, EventHandle] = {}
         self._start_watchers: Dict[str, List[Callable[[Job], None]]] = {}
-        self._end_watchers: Dict[str, List[Callable[[Job], None]]] = {}
         self._ids = IdFactory(f"{name}-job")
         # telemetry: per-job lifetime span and its pending-in-queue child
         self._spans: Dict[str, object] = {}
@@ -169,14 +168,6 @@ class SlurmScheduler:
             callback(job)
             return
         self._start_watchers.setdefault(job_id, []).append(callback)
-
-    def notify_end(self, job_id: str, callback: Callable[[Job], None]) -> None:
-        """Call ``callback(job)`` when the job reaches a terminal state."""
-        job = self.job(job_id)
-        if job.state.is_terminal:
-            callback(job)
-            return
-        self._end_watchers.setdefault(job_id, []).append(callback)
 
     # -- waiting helpers ---------------------------------------------------------
     def wait_for_start(self, job_id: str, limit: float = float("inf")) -> Job:
@@ -347,5 +338,3 @@ class SlurmScheduler:
         if job.on_end is not None:
             job.on_end(job)
         self._start_watchers.pop(job.job_id, None)
-        for watcher in self._end_watchers.pop(job.job_id, []):
-            watcher(job)

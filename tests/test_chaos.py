@@ -63,6 +63,20 @@ class TestFig5Convergence:
         assert injected.failing_tests == hardcoded.failing_tests
         assert injected.tests == hardcoded.tests
 
+    def test_fixed_suite_passes_every_test(self):
+        """Without the injection the fixed suite is green, so chaos fig5's
+        failure comes from the fault layer, not from the suite."""
+        from repro.suites import run_suite
+
+        suite_run = run_suite("fig5", files_kwargs={"fixed": True})
+        assert suite_run.status == "success"
+        (result,) = suite_run.results
+        assert result.status == "ok"
+        assert len(result.parsed) == 8
+        assert all(
+            outcome == "PASSED" for outcome, _ in result.parsed.values()
+        )
+
     def test_without_injection_the_fixed_suite_passes(self):
         from repro.apps.psij.suite import PSIJ_SUITE_FIXED
         from repro.experiments.fig5_psij import inject_failure_plan

@@ -114,9 +114,13 @@ class TestSuiteCommand:
     def test_every_committed_suite_runs(self, name, mode, capsys):
         assert main(["suite", "run", name, *mode]) == SUITE_EXIT.get(name, 0)
 
-    @pytest.mark.parametrize("plane", ["--overload", "--hedge"])
+    @pytest.mark.parametrize(
+        "planes",
+        [["--overload"], ["--hedge"], ["--overload", "--hedge"]],
+        ids=["--overload", "--hedge", "both"],
+    )
     def test_plane_sweep_honours_var_and_no_telemetry(
-        self, plane, monkeypatch, capsys
+        self, planes, monkeypatch, capsys
     ):
         seen = {}
         run_sweep = repro.suites.run_sweep
@@ -127,12 +131,15 @@ class TestSuiteCommand:
 
         monkeypatch.setattr(repro.suites, "run_sweep", spy)
         code = main([
-            "suite", "run", "fig4-sweep", plane,
+            "suite", "run", "fig4-sweep", *planes,
             "--var", "site=chameleon", "--no-telemetry",
         ])
         assert code == 0
         assert "(5 instances, 5 active)" in capsys.readouterr().out
         assert seen["telemetry"] is False
+        # every plane asked for is armed, none that was not
+        assert (seen["overload"] is not None) == ("--overload" in planes)
+        assert (seen["hedge"] is not None) == ("--hedge" in planes)
 
 
 def test_route_with_a_pool_of_one_reports_no_cut(capsys):

@@ -16,6 +16,7 @@ from repro.errors import (
 from repro.executor.pilot import PilotExecutor
 from repro.executor.providers import LocalProvider, SlurmProvider
 from repro.faas.endpoint import EndpointTemplate, MultiUserEndpoint, UserEndpoint
+from repro.faas.future import Future
 from repro.faas.task import TaskState
 from repro.shellsim.session import ShellServices
 from repro.sites.catalog import make_chameleon, make_faster
@@ -31,17 +32,24 @@ def faster_site():
     return site
 
 
+def _start_block(provider):
+    """Provision one block and drive the clock until it is usable."""
+    future = Future(provider.site.clock)
+    provider.start_block_async(future.set_result, future.set_exception)
+    return future.result()
+
+
 class TestProviders:
     def test_local_provider_block(self, faster_site):
-        provider = LocalProvider(faster_site, "x-u", startup_overhead=2.0)
-        block = provider.start_block()
+        provider = LocalProvider(faster_site, "x-u")
+        block = _start_block(provider)
         assert block.node_class == "login"
         assert block.queue_wait == 0.0
         assert faster_site.clock.now == pytest.approx(2.0)
 
     def test_slurm_provider_block_and_release(self, faster_site):
         provider = SlurmProvider(faster_site, "x-u", partition="normal")
-        block = provider.start_block()
+        block = _start_block(provider)
         assert block.node_class == "compute"
         assert block.job_id is not None
         provider.release_block(block)
@@ -93,7 +101,7 @@ class TestPilotExecutor:
 
     def test_node_handle_on_login_block(self, faster_site):
         executor = PilotExecutor(LocalProvider(faster_site, "x-u"))
-        handle = executor.node_handle()
+        handle = executor.submit(lambda handle: handle)
         assert handle.node_class == "login"
 
 
@@ -105,6 +113,20 @@ class TestUserEndpoint:
             shell_services=ShellServices(),
             template=template,
         )
+
+    @staticmethod
+    def _execute(uep, spec):
+        """Run one task on ``uep`` and drive the clock to its result."""
+        future = Future(uep.site.clock)
+
+        def on_done(result, error):
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+
+        uep.execute_async(spec, (), {}, on_done)
+        return future.result()
 
     def test_outbound_routing_on_restricted_site(self, faster_site):
         uep = self._uep(
@@ -121,8 +143,8 @@ class TestUserEndpoint:
 
         clone_spec = FunctionSpec("f1", "clone", record, "o", needs_outbound=True)
         test_spec = FunctionSpec("f2", "tests", record, "o", needs_outbound=False)
-        assert uep.execute(clone_spec, (), {}) == "login"
-        assert uep.execute(test_spec, (), {}) == "compute"
+        assert self._execute(uep, clone_spec) == "login"
+        assert self._execute(uep, test_spec) == "compute"
 
     def test_login_only_template(self, faster_site):
         uep = self._uep(faster_site)  # default template: no compute partition
@@ -131,7 +153,7 @@ class TestUserEndpoint:
         spec = FunctionSpec(
             "f", "t", lambda fctx: fctx.handle.node_class, "o"
         )
-        assert uep.execute(spec, (), {}) == "login"
+        assert self._execute(uep, spec) == "login"
 
     def test_allowlist_enforced(self, faster_site):
         template = EndpointTemplate(allowed_functions={"allowed-id"})
@@ -140,7 +162,7 @@ class TestUserEndpoint:
 
         bad = FunctionSpec("other-id", "evil", lambda fctx: 1, "o")
         with pytest.raises(FunctionNotAllowed):
-            uep.execute(bad, (), {})
+            self._execute(uep, bad)
 
     def test_stats_and_shutdown(self, faster_site):
         uep = self._uep(
@@ -149,7 +171,7 @@ class TestUserEndpoint:
         from repro.faas.functions import FunctionSpec
 
         spec = FunctionSpec("f", "t", lambda fctx: 1, "o")
-        uep.execute(spec, (), {})
+        self._execute(uep, spec)
         stats = uep.stats()
         assert stats["compute_tasks"] == 1
         uep.shutdown()

@@ -16,7 +16,13 @@ from repro.faas.client import ComputeClient
 from repro.faas.future import Future
 from repro.faas.hedging import HedgeConfig
 from repro.faas.task import TaskState
-from repro.faults.plan import FaultPlan, PerfDegradation, TaskError
+from repro.faults.plan import (
+    FaultPlan,
+    NodePreemption,
+    PerfDegradation,
+    ProvisionFlake,
+    TaskError,
+)
 from repro.faults.resilience import BreakerPolicy, RetryPolicy
 from repro.sites.catalog import make_faster
 from repro.util.clock import SimClock
@@ -453,6 +459,56 @@ class TestPilotReprovision:
             executor.submit(doomed)
         assert executor.submit(lambda handle: 7) == 7
         assert executor.blocks_started == 2
+
+
+class TestSchedulerFaults:
+    """Provision flakes and preemptions on a batch site's pilot."""
+
+    def _faster(self, plan, max_attempts):
+        world = make_world(
+            retry_policy=RetryPolicy(
+                max_attempts=max_attempts, base_delay=2.0, seed=1
+            )
+        )
+        world.install_faults(plan)
+        client, eid = cloud_endpoint(world, site="faster", account="x-u")
+        world.arm_faults()
+        return world, client, eid
+
+    def test_provision_flakes_are_retried_onto_a_later_block(self):
+        plan = FaultPlan(seed=1).add(
+            ProvisionFlake(at=0.0, site="faster", count=2)
+        )
+        world, client, eid = self._faster(plan, max_attempts=4)
+        fid = client.register_function(_quick, "quick")
+        futures = [client.submit(eid, fid) for _ in range(3)]
+        assert [future.result() for future in futures] == [42, 42, 42]
+        # the first two dispatches each meet a flake; the third provisions
+        attempts = [world.faas.get_task(f.task_id).attempts for f in futures]
+        assert attempts == [2, 2, 1]
+        summary = world.faas.resilience.summary()
+        assert summary["retries"] == 2
+        assert summary["by_error"] == {"ProvisionFailed": 2}
+        assert len(world.events.query("fault", "provision.failed")) == 2
+
+    def test_preempted_payload_is_retried_to_success(self):
+        def long(fctx):
+            fctx.handle.compute(300.0)
+            return "done"
+
+        plan = FaultPlan(seed=1).add(NodePreemption(at=200.0, site="faster"))
+        world, client, eid = self._faster(plan, max_attempts=3)
+        fid = client.register_function(long, "long")
+        futures = [client.submit(eid, fid) for _ in range(3)]
+        assert [future.result() for future in futures] == ["done"] * 3
+        # only the payload running at t=200 loses its node
+        attempts = [world.faas.get_task(f.task_id).attempts for f in futures]
+        assert attempts == [2, 1, 1]
+        summary = world.faas.resilience.summary()
+        assert summary["retries"] == 1
+        assert summary["by_error"] == {"NodePreempted": 1}
+        (preempted,) = world.events.query("fault", "node.preempted")
+        assert preempted.time == pytest.approx(200.0)
 
 
 class TestDeadlockDetection:

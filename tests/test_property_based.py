@@ -17,7 +17,7 @@ from repro.telemetry.health import TREND_PENALTY, HealthScorer
 from repro.telemetry.metrics import percentile
 from repro.telemetry.timeseries import TimeSeriesStore
 from repro.util import yamlite
-from repro.util.clock import SimClock
+from repro.util.clock import _COMPACT_MIN, SimClock
 from repro.util.serialization import deserialize, serialize
 from repro.vcs.objects import ObjectStore
 
@@ -136,6 +136,125 @@ class TestClockProperties:
             clock.advance(delta)
             assert clock.now >= last
             last = clock.now
+
+
+_delay = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 10.0]),
+    st.floats(min_value=0.0, max_value=60.0),
+)
+
+# bulk schedules (count, first delay, spacing: delays cycle through
+# five steps, so times tie) and strided bulk cancels (start, count,
+# stride), so cancelled entries pile up past the compaction threshold
+# mid-sequence, and runs that fire part of what is left
+_clock_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("call_at"),
+            st.tuples(
+                st.sampled_from([1, 3, 40, 130]),
+                _delay,
+                st.sampled_from([0.0, 0.5, 1.0, 7.25]),
+            ),
+        ),
+        st.tuples(
+            st.just("cancel"),
+            st.tuples(
+                st.integers(min_value=0, max_value=600),
+                st.sampled_from([1, 5, 70, 200]),
+                st.integers(min_value=1, max_value=3),
+            ),
+        ),
+        st.tuples(st.just("run_until"), _delay),
+    ),
+    max_size=25,
+)
+
+
+class TestClockCompactionProperties:
+    """Lazy deletion and heap compaction are invisible: the clock reads
+    and fires exactly what a plain table of live entries does."""
+
+    @given(ops=_clock_ops)
+    @example(
+        # compacts at the 66th cancel, then fires, schedules and cancels
+        # over the compacted heap
+        ops=[
+            ("call_at", (130, 1.0, 0.5)), ("cancel", (0, 70, 1)),
+            ("run_until", 2.0), ("call_at", (40, 0.0, 1.0)),
+            ("cancel", (60, 200, 1)), ("run_until", 10.0),
+        ],
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive_model(self, ops):
+        clock = SimClock()
+        compactions = []
+        compact = clock._compact
+
+        def counting_compact():
+            compactions.append(clock.now)
+            compact()
+
+        clock._compact = counting_compact
+        handles = []
+        live = {}  # schedule index -> time, neither fired nor cancelled
+        fired = []
+
+        def schedule(delay):
+            index = len(handles)
+            when = clock.now + delay
+            handles.append(
+                clock.call_at(when, lambda index=index: fired.append(index))
+            )
+            live[index] = when
+
+        def cancel(index):
+            handles[index].cancel()  # fired or cancelled: a no-op
+            live.pop(index, None)
+
+        def run_until(target):
+            before = clock.now
+            due = sorted(
+                (when, index) for index, when in live.items()
+                if when <= target + 1e-12
+            )
+            fired.clear()
+            clock.run_until(target)
+            assert fired == [index for _, index in due]
+            for _, index in due:
+                del live[index]
+            # an event within the 1e-12 tolerance past target sets the time
+            assert clock.now == max([before, target] + [w for w, _ in due])
+
+        def check():
+            assert clock.pending_events() == len(live)
+            expected = min(live.values()) if live else None
+            assert clock.next_event_time() == expected
+
+        for op, arg in ops:
+            if op == "call_at":
+                count, first, spacing = arg
+                for i in range(count):
+                    schedule(first + (i % 5) * spacing)
+            elif op == "cancel" and handles:
+                start, count, stride = arg
+                for i in range(count):
+                    cancel((start + i * stride) % len(handles))
+            elif op == "run_until":
+                run_until(clock.now + arg)
+            check()
+        # retire the rest: with more than _COMPACT_MIN entries live,
+        # cancelling every one of them must compact at least once
+        while len(live) <= _COMPACT_MIN:
+            schedule(5.0)
+        check()
+        for index in list(live):
+            cancel(index)
+        check()
+        assert compactions
+        run_until(clock.now + 100.0)
+        assert fired == []
+        check()
 
 
 class TestObjectStoreProperties:
