@@ -47,18 +47,13 @@ class CorrectAction:
     :mod:`repro.core.driver`.
     """
 
-    def run(self, ctx) -> "StepOutcome":  # noqa: F821 - engine protocol
-        """Blocking wrapper: drives virtual time until the step finishes."""
-        return self.run_async(ctx).result()
-
     def run_async(self, ctx) -> Future:
         """Deferred step execution; resolves to the :class:`StepOutcome`.
 
         Remote calls are issued as futures, so CORRECT steps for jobs on
         different endpoints progress through overlapping virtual time
         when the engine runs jobs concurrently. The returned future never
-        carries an exception — failures become failure outcomes, exactly
-        as in the blocking path.
+        carries an exception — failures become failure outcomes.
         """
         from repro.actions.engine import StepOutcome
         from repro.telemetry import tracer_of

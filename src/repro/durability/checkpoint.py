@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.errors import CoordinatorCrashed
+from repro.errors import CoordinatorCrashed, TaskFailed
 from repro.util.events import Event, EventLog
 from repro.util.serialization import serialize, serialize_call
 
@@ -120,10 +120,11 @@ class RunCheckpointer:
 
     def _task_data(self, event: Event, terminal: bool) -> Dict[str, Any]:
         data = dict(event.data)
-        task = None
-        if self.faas is not None:
-            task = self.faas._tasks.get(data.get("task_id", ""))
-        if task is None:
+        if self.faas is None:
+            return data
+        try:
+            task = self.faas.get_task(data.get("task_id", ""))
+        except TaskFailed:
             return data
         data["key"] = task.idempotency_key
         if event.kind == "task.submitted":

@@ -37,7 +37,8 @@ class PilotExecutor:
         self.provider = provider
         self.user = provider.user
         self._block: Optional[Block] = None
-        self._provisioning = False
+        # callbacks waiting on the block being provisioned; non-empty
+        # exactly while a provision is in flight
         self._ready_waiters: list = []
         # (node, handle) of the last task: handles are stateless triples,
         # so reusing one across the thousands of tasks a warm block runs
@@ -90,20 +91,18 @@ class PilotExecutor:
         if block is not None:
             on_ready(block)
             return
+        provisioning = bool(self._ready_waiters)
         self._ready_waiters.append((on_ready, on_error))
-        if self._provisioning:
+        if provisioning:
             return
-        self._provisioning = True
 
         def adopted(new_block: Block) -> None:
-            self._provisioning = False
             self._adopt_block(new_block)
             waiters, self._ready_waiters = self._ready_waiters, []
             for ready, _ in waiters:
                 ready(new_block)
 
         def failed(error: BaseException) -> None:
-            self._provisioning = False
             waiters, self._ready_waiters = self._ready_waiters, []
             for _, err_cb in waiters:
                 err_cb(error)

@@ -39,13 +39,21 @@ def run_open_loop(world: World, arrivals: Iterable, submit: Callable) -> float:
     """Drive an open-loop workload to idle; returns the start time.
 
     ``submit(arrival)`` runs at virtual time ``arrival.at`` after now,
-    whatever the service is doing. The world's installed fault plan is
-    armed after every arrival is scheduled, and the SLO engine's last
-    (partial) bucket is evaluated once the clock drains.
+    whatever the service is doing, and starts its own trace: an arrival
+    that fires inside another task's measured body must not parent its
+    task span under that body's node span. The world's installed fault
+    plan is armed after every arrival is scheduled, and the SLO engine's
+    last (partial) bucket is evaluated once the clock drains.
     """
     started_at = world.clock.now
+    tracer = world.tracer
+
+    def arrive(arrival) -> None:
+        with tracer.activate(None):
+            submit(arrival)
+
     for arrival in arrivals:
-        world.clock.call_after(arrival.at, lambda a=arrival: submit(a))
+        world.clock.call_after(arrival.at, lambda a=arrival: arrive(a))
     if world.fault_injector is not None:
         world.arm_faults()
     world.clock.run_until_idle()

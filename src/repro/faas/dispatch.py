@@ -55,13 +55,11 @@ class PendingTask:
     # telemetry span opened at submit time; carries the submitter's trace
     # context across the async dispatch boundary
     span: object = None
-    # resilience bookkeeping: 1-based dispatch attempt, the abort flag an
-    # offline/timeout abort sets so a stale completion callback for the
-    # doomed attempt is discarded, and the absolute deadline when the
-    # caller set a per-task timeout
+    # resilience bookkeeping: 1-based dispatch attempt, and the abort
+    # flag :meth:`EndpointDispatcher.withdraw` sets so a stale completion
+    # callback (or arrival) for the withdrawn attempt is discarded
     attempt: int = 1
     aborted: bool = False
-    deadline: Optional[float] = None
     # hedging: set on the speculative duplicate entry (the hedge arm
     # shares the primary's task and future but runs on another pool
     # member), plus the virtual time this entry's current attempt was
@@ -77,13 +75,17 @@ class EndpointDispatcher:
     endpoint (the pilot holds one block); completion hands the loop to
     the next queued task. Separate endpoints have separate dispatchers,
     so their queues drain concurrently in virtual time.
+
+    An entry leaves the queue or the lane in three ways only: :meth:`pump`
+    moves the queue head onto the lane, the completion callback frees the
+    lane, and :meth:`withdraw` takes an entry off either. The lane is busy
+    exactly while ``inflight`` holds an entry.
     """
 
     def __init__(self, service, endpoint_id: str) -> None:
         self.service = service
         self.endpoint_id = endpoint_id
         self.queue: Deque[PendingTask] = deque()
-        self.busy = False
         self.inflight: Optional[PendingTask] = None
 
     def arrive(self, entry: PendingTask) -> None:
@@ -115,48 +117,54 @@ class EndpointDispatcher:
             self.queue.insert(index, entry)
         self.pump()
 
+    def withdraw(self, entry: PendingTask) -> bool:
+        """Take ``entry`` off this dispatcher; True if it was running.
+
+        Marks the entry aborted, so its late completion callback (or an
+        arrival still on the wire) is discarded, and frees its lane or
+        queue slot. Nothing is pumped and no outcome is recorded: each
+        caller settles the entry and pumps the freed lane itself, in the
+        order it needs.
+        """
+        entry.aborted = True
+        if self.inflight is entry:
+            self.inflight = None
+            return True
+        if entry in self.queue:
+            self.queue.remove(entry)
+        return False
+
     def abort_inflight(self, error: BaseException) -> Optional[PendingTask]:
         """Fail the in-flight task with ``error`` and free the lane.
 
-        Used when the endpoint drops offline (or a deadline fires) while
-        work is on the wire: the eventual completion callback for the
-        doomed attempt is discarded via the entry's ``aborted`` flag, and
-        the typed error goes through the normal completion path — so it
-        is retryable like any other failure.
+        Used when the endpoint drops offline while work is on the wire:
+        the typed error goes through the normal completion path, so it
+        is retryable like any other failure. The freed lane is not pumped.
         """
         entry = self.inflight
         if entry is None:
             return None
-        entry.aborted = True
-        self.inflight = None
-        self.busy = False
+        self.withdraw(entry)
         self.service._complete(entry, None, error)
         return entry
 
     def retract(self, entry: PendingTask) -> bool:
         """Withdraw an entry without completing it; True if it was running.
 
-        The cancellation primitive: the entry's eventual completion
-        callback is discarded via ``aborted``, the lane (or queue slot)
-        is freed, and — unlike :meth:`abort_inflight` — *no* outcome
-        flows through the pipeline, so nothing retries a retraction.
-        Used for caller cancellation and for the losing arm of a hedge.
+        The cancellation primitive, used for caller cancellation and for
+        the losing arm of a hedge: unlike :meth:`abort_inflight` *no*
+        outcome flows through the pipeline, so nothing retries a
+        retraction. A lane it frees goes to the next queued entry at once.
         """
-        entry.aborted = True
-        if self.inflight is entry:
-            self.inflight = None
-            self.busy = False
+        running = self.withdraw(entry)
+        if running:
             self.pump()
-            return True
-        if entry in self.queue:
-            self.queue.remove(entry)
-        return False
+        return running
 
     def pump(self) -> None:
-        if self.busy or not self.queue:
+        if self.inflight is not None or not self.queue:
             return
         entry = self.queue.popleft()
-        self.busy = True
         self.inflight = entry
         task = entry.task
         task.state = TaskState.RUNNING
@@ -219,7 +227,6 @@ class EndpointDispatcher:
                 return
             # free the lane *before* resolving: done-callbacks may submit
             # follow-up tasks to this endpoint and drive the clock.
-            self.busy = False
             self.inflight = None
             self.service._complete(entry, result, error)
             self.pump()

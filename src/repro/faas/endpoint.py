@@ -69,9 +69,6 @@ class UserEndpoint:
             "endpoint", site.name, local_user, self.template.name
         )
         self.online = True
-        # liveness lease, held while the FaaS service's lease registry is
-        # on; task activity heartbeats it, expiry takes the endpoint down
-        self.lease = None
 
         self._login_executor = PilotExecutor(LocalProvider(site, local_user))
         self._compute_executor: Optional[PilotExecutor] = None
@@ -179,7 +176,6 @@ class MultiUserEndpoint:
             else deterministic_uuid("mep", site.name)
         )
         self.online = True
-        self.lease = None  # see UserEndpoint.lease
         self.audit_log: List[dict] = audit_log if audit_log is not None else []
         self._ueps: Dict[tuple, UserEndpoint] = {}
 

@@ -443,17 +443,28 @@ class HedgeController:
         task = primary.task
         service = self.service
         dispatcher = service._dispatchers.get(task.endpoint_id)
-        if dispatcher is None or dispatcher.inflight is primary:
+        if dispatcher is None or primary not in dispatcher.queue:
             return
-        if primary in dispatcher.queue:
-            dispatcher.retract(primary)
-            race.primary_retired = True
-            service._unbind_load(task.endpoint_id)
-            service.events.emit(
-                service.clock.now, "faas", "hedge.tied",
-                task_id=task.task_id, retired=task.endpoint_id,
-                racing=race.endpoint,
-            )
+        self._retract(primary, task.endpoint_id)
+        race.primary_retired = True
+        service.events.emit(
+            service.clock.now, "faas", "hedge.tied",
+            task_id=task.task_id, retired=task.endpoint_id,
+            racing=race.endpoint,
+        )
+
+    def _retract(self, entry: PendingTask, endpoint_id: str) -> bool:
+        """Retract one arm of a race from ``endpoint_id`` and release the
+        routing slot it held there; True if the arm was running.
+
+        The slot is released after the retraction, whose freed lane may
+        already have started the next queued task.
+        """
+        service = self.service
+        dispatcher = service._dispatchers.get(endpoint_id)
+        running = dispatcher.retract(entry) if dispatcher is not None else False
+        service._unbind_load(endpoint_id)
+        return running
 
     def _deadline_fired(
         self, entry: PendingTask, generation: int, deadline: float
@@ -604,21 +615,16 @@ class HedgeController:
             self.stats.hedges_won += 1
             task.hedge_won = True
             task.loser_endpoint = task.endpoint_id
-            if not race.primary_retired:
-                primary = race.primary
-                dispatcher = service._dispatchers.get(task.endpoint_id)
-                was_running = (
-                    dispatcher.retract(primary)
-                    if dispatcher is not None
-                    else False
+            if (
+                not race.primary_retired
+                and self._retract(race.primary, task.endpoint_id)
+                and entry.dispatched_at is not None
+            ):
+                # both arms executed for the hedge's whole runtime: that
+                # overlap is the duplicated compute this win cost
+                self.stats.wasted_seconds += max(
+                    0.0, now - entry.dispatched_at
                 )
-                if was_running and entry.dispatched_at is not None:
-                    # both arms executed for the hedge's whole runtime:
-                    # that overlap is the duplicated compute this win cost
-                    self.stats.wasted_seconds += max(
-                        0.0, now - entry.dispatched_at
-                    )
-                service._unbind_load(task.endpoint_id)
             task.endpoint_id = race.endpoint
             service.events.emit(
                 now, "faas", "hedge.won",
@@ -648,15 +654,11 @@ class HedgeController:
 
     def _cancel_hedge(self, race: _Race, task, now: float) -> None:
         hedge = race.hedge
-        dispatcher = self.service._dispatchers.get(race.endpoint)
-        was_running = (
-            dispatcher.retract(hedge) if dispatcher is not None else False
-        )
+        was_running = self._retract(hedge, race.endpoint)
         if was_running and hedge.dispatched_at is not None:
             self.stats.wasted_seconds += max(0.0, now - hedge.dispatched_at)
         self.stats.hedges_cancelled += 1
         task.loser_endpoint = race.endpoint
-        self.service._unbind_load(race.endpoint)
         self.service.events.emit(
             now, "faas", "hedge.cancelled",
             task_id=task.task_id, endpoint=race.endpoint,

@@ -60,15 +60,20 @@ PRIORITY_CRITICAL = 0
 PRIORITY_NORMAL = 1
 PRIORITY_BATCH = 2
 
+# virtual seconds of dispatch queue wait the AIMD p95 bound reads
+_AIMD_WINDOW = 300.0
+# bins a SlidingCounter splits its window into
+_BUCKETS = 12
+
 
 @dataclass(frozen=True)
 class OverloadConfig:
     """Tuning for the whole plane; one frozen value object per service.
 
-    Quota defaults apply to every tenant without an explicit entry in
-    ``quotas`` (zero = unlimited, matching :class:`TenantQuota`).  AIMD
-    bounds are in concurrent tasks per pool; ``aimd_p95_high`` is in
-    virtual seconds of dispatch queue wait.  Budget ratios are retries
+    The tenant quota applies to every tenant (zero = unlimited, matching
+    :class:`TenantQuota`).  AIMD bounds are in concurrent tasks per pool;
+    ``aimd_p95_high`` is in virtual seconds of dispatch queue wait over
+    the last 300 virtual seconds.  Budget ratios are retries
     per first attempt over ``budget_window`` virtual seconds.  Shed
     watermarks map a priority class to the pending depth at which that
     class (and every class below it) is dropped; ``brownout_enter``
@@ -79,15 +84,11 @@ class OverloadConfig:
     tenant_rate: float = 0.0
     tenant_burst: float = 4.0
     tenant_max_inflight: int = 0
-    quotas: Optional[QuotaRegistry] = None
     aimd_initial: float = 16.0
     aimd_min: float = 2.0
     aimd_max: float = 64.0
-    aimd_increase: float = 1.0
-    aimd_backoff: float = 0.5
     aimd_queue_high: int = 32
     aimd_p95_high: float = 0.0
-    aimd_window: float = 300.0
     aimd_cooldown: float = 30.0
     retry_budget: float = 0.25
     tenant_retry_budget: float = 0.5
@@ -100,32 +101,20 @@ class OverloadConfig:
     brownout_sample_rate: float = 0.1
     brownout_seed: int = 0
 
-    def build_quotas(self) -> QuotaRegistry:
-        if self.quotas is not None:
-            return self.quotas
-        return QuotaRegistry(
-            TenantQuota(
-                rate=self.tenant_rate,
-                burst=self.tenant_burst,
-                max_inflight=self.tenant_max_inflight,
-            )
-        )
-
 
 class SlidingCounter:
     """Bucketed sliding-window counter over virtual time.
 
-    Coarse on purpose: ``buckets`` fixed-width bins approximate the
-    window, which keeps memory O(buckets) and every query O(buckets)
-    regardless of event rate — and stays exactly deterministic because
-    bin edges depend only on the virtual clock.
+    Coarse on purpose: twelve fixed-width bins approximate the window,
+    which keeps memory O(12) and every query O(12) regardless of event
+    rate — and stays exactly deterministic because bin edges depend only
+    on the virtual clock.
     """
 
-    __slots__ = ("width", "depth", "_ring")
+    __slots__ = ("width", "_ring")
 
-    def __init__(self, window: float, buckets: int = 12) -> None:
-        self.width = max(1e-9, window / buckets)
-        self.depth = buckets
+    def __init__(self, window: float) -> None:
+        self.width = max(1e-9, window / _BUCKETS)
         self._ring: deque = deque()
 
     def add(self, now: float, amount: float = 1.0) -> None:
@@ -134,11 +123,11 @@ class SlidingCounter:
             self._ring[-1][1] += amount
         else:
             self._ring.append([index, amount])
-            while len(self._ring) > self.depth:
+            while len(self._ring) > _BUCKETS:
                 self._ring.popleft()
 
     def total(self, now: float) -> float:
-        first = int(now // self.width) - self.depth + 1
+        first = int(now // self.width) - _BUCKETS + 1
         return sum(amount for index, amount in self._ring if index >= first)
 
 
@@ -185,14 +174,14 @@ class RetryBudget:
 
 
 class AIMDLimiter:
-    """Additive-increase / multiplicative-decrease concurrency limit."""
+    """Additive-increase / multiplicative-decrease concurrency limit: one
+    more task after a limit's worth of successes, half the limit on a
+    backoff."""
 
     __slots__ = (
         "limit",
         "min_limit",
         "max_limit",
-        "increase",
-        "backoff_factor",
         "cooldown",
         "inflight",
         "_last_backoff",
@@ -204,15 +193,11 @@ class AIMDLimiter:
         initial: float,
         min_limit: float,
         max_limit: float,
-        increase: float = 1.0,
-        backoff_factor: float = 0.5,
         cooldown: float = 30.0,
     ) -> None:
         self.limit = initial
         self.min_limit = min_limit
         self.max_limit = max_limit
-        self.increase = increase
-        self.backoff_factor = backoff_factor
         self.cooldown = cooldown
         self.inflight = 0
         self._last_backoff = float("-inf")
@@ -232,14 +217,14 @@ class AIMDLimiter:
         self._successes += 1
         if self._successes >= max(1, int(self.limit)):
             self._successes = 0
-            self.limit = min(self.max_limit, self.limit + self.increase)
+            self.limit = min(self.max_limit, self.limit + 1.0)
 
     def back_off(self, now: float) -> bool:
         """Halve the limit unless still cooling down; True when applied."""
         if now - self._last_backoff < self.cooldown:
             return False
         self._last_backoff = now
-        self.limit = max(self.min_limit, self.limit * self.backoff_factor)
+        self.limit = max(self.min_limit, self.limit * 0.5)
         self._successes = 0
         return True
 
@@ -270,14 +255,20 @@ class OverloadController:
     def __init__(self, service: "FaaSService", config: OverloadConfig) -> None:
         self.service = service
         self.config = config
-        self.quotas = config.build_quotas()
+        self.quotas = QuotaRegistry(
+            TenantQuota(
+                rate=config.tenant_rate,
+                burst=config.tenant_burst,
+                max_inflight=config.tenant_max_inflight,
+            )
+        )
         self.budget = RetryBudget(
             config.retry_budget, config.tenant_retry_budget, config.budget_window
         )
         self.stats = OverloadStats()
         self.series: Optional["TimeSeriesStore"] = None
-        self.pending = 0
         self._limiters: Dict[str, AIMDLimiter] = {}
+        # admitted, not yet finalized tasks: task id -> (tenant, AIMD key)
         self._inflight: Dict[str, Tuple[str, str]] = {}
         # shed rules checked lowest-priority-first so recovery (depth
         # falling back under a watermark) re-admits classes in reverse
@@ -291,6 +282,12 @@ class OverloadController:
             config.brownout_sample_rate, seed=config.brownout_seed
         )
 
+    @property
+    def pending(self) -> int:
+        """The depth brownout and shedding watch: admitted tasks not yet
+        finalized."""
+        return len(self._inflight)
+
     # -- admission ----------------------------------------------------
 
     def limiter_for(self, key: str) -> AIMDLimiter:
@@ -301,8 +298,6 @@ class OverloadController:
                 cfg.aimd_initial,
                 cfg.aimd_min,
                 cfg.aimd_max,
-                increase=cfg.aimd_increase,
-                backoff_factor=cfg.aimd_backoff,
                 cooldown=cfg.aimd_cooldown,
             )
         return limiter
@@ -351,7 +346,6 @@ class OverloadController:
         self.quotas.bind(sub.tenant)
         self.limiter_for(key).acquire()
         self._inflight[task.task_id] = (sub.tenant, key)
-        self.pending += 1
         self.budget.record_attempt(sub.tenant, now)
         self._update_pressure(now)
 
@@ -382,7 +376,6 @@ class OverloadController:
         tenant, key = info
         self.quotas.release(tenant)
         self.limiter_for(key).release()
-        self.pending -= 1
         self._update_pressure(self.service.clock.now)
 
     def allow_retry(self, task: "Task", now: float) -> bool:
@@ -412,7 +405,7 @@ class OverloadController:
         if cfg.aimd_p95_high > 0.0 and self.series is not None:
             series = self.series.get("faas.task.queue_wait")
             if series is not None:
-                p95 = series.quantile_over(95.0, now, cfg.aimd_window)
+                p95 = series.quantile_over(95.0, now, _AIMD_WINDOW)
                 if p95 > cfg.aimd_p95_high:
                     return "dispatch-p95"
         return ""

@@ -192,7 +192,6 @@ class TimeoutInterceptor:
     def on_accepted(self, entry, timeout: Optional[float]) -> None:
         if timeout is None:
             return
-        entry.deadline = self.service.clock.now + timeout
         self.service.clock.call_after(
             timeout, lambda: self._deadline_fired(entry, timeout)
         )
@@ -212,16 +211,14 @@ class TimeoutInterceptor:
             task_id=task.task_id, endpoint=task.endpoint_id,
             timeout=timeout, attempt=entry.attempt,
         )
+        # running, queued, or waiting on its dispatch/backoff event: take
+        # it off its dispatcher, fail it in place, then hand a lane it
+        # held to the next queued task
         dispatcher = self.service._dispatchers.get(task.endpoint_id)
-        if dispatcher is not None:
-            if dispatcher.inflight is entry:
-                dispatcher.abort_inflight(error)
-                dispatcher.pump()
-                return
-            if entry in dispatcher.queue:
-                dispatcher.queue.remove(entry)
-        # waiting on its dispatch/backoff event, or queued: fail in place
+        running = dispatcher is not None and dispatcher.withdraw(entry)
         self.service._complete(entry, None, error)
+        if running:
+            dispatcher.pump()
 
 
 class RetryInterceptor:
@@ -306,10 +303,7 @@ class LeaseInterceptor:
     def grant(self, endpoint_id: str) -> None:
         if self.registry is None or endpoint_id in self.dead:
             return
-        lease = self.registry.grant(endpoint_id)
-        endpoint = self.service._endpoints.get(endpoint_id)
-        if endpoint is not None:
-            endpoint.lease = lease
+        self.registry.grant(endpoint_id)
 
     def renew(self, endpoint_id: str) -> None:
         if self.registry is not None:
@@ -323,8 +317,6 @@ class LeaseInterceptor:
 
     def _on_expired(self, endpoint_id: str) -> None:
         endpoint = self.service._endpoints.get(endpoint_id)
-        if endpoint is not None:
-            endpoint.lease = None
         if endpoint is None or not endpoint.online:
             return
         endpoint.online = False
@@ -341,7 +333,6 @@ class LeaseInterceptor:
         if endpoint is None or not endpoint.online:
             return
         endpoint.online = False
-        endpoint.lease = None
         self.service.events.emit(
             self.service.clock.now, "durability", "lease.expired",
             endpoint=endpoint_id, phase="recovery",

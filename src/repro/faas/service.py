@@ -101,7 +101,6 @@ class FaaSService:
         clock: SimClock,
         auth: AuthService,
         events: Optional[EventLog] = None,
-        payload_limit: int = DEFAULT_PAYLOAD_LIMIT,
         cloud_overhead_seconds: float = CLOUD_OVERHEAD_SECONDS,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
@@ -114,14 +113,14 @@ class FaaSService:
         self.auth = auth
         self.events = events if events is not None else EventLog()
         self.functions = FunctionRegistry()
-        self.payload_limit = payload_limit
+        self.payload_limit = DEFAULT_PAYLOAD_LIMIT
         self.cloud_overhead_seconds = cloud_overhead_seconds
         # resilience knobs default to off, preserving exact fault-free behavior
         self.retry_policy = retry_policy
         self.breaker_policy = breaker
-        if offline_policy not in ("raise", "queue", "fail"):
+        if offline_policy not in ("raise", "queue"):
             raise ValueError(
-                f"offline_policy must be raise|queue|fail, got {offline_policy!r}"
+                f"offline_policy must be raise|queue, got {offline_policy!r}"
             )
         self.offline_policy = offline_policy
         self.resilience = ResilienceStats()
@@ -135,7 +134,7 @@ class FaaSService:
         )
         self.pipeline = Pipeline(self)
         self._endpoints: Dict[str, Endpoint] = {}
-        self._tasks: Dict[str, Task] = {}
+        # every task this service accepted, by id; each future holds its task
         self._futures: Dict[str, TaskFuture] = {}
         # live PendingTask entries by task id: what cancel() retracts
         self._entries: Dict[str, PendingTask] = {}
@@ -362,35 +361,25 @@ class FaaSService:
         :class:`~repro.errors.TaskCancelled`. Idempotent — a second call
         on a terminal task returns ``False`` and changes nothing.
         """
-        task = self._tasks.get(task_id)
-        if task is None or task.state.is_terminal:
+        future = self._futures.get(task_id)
+        if future is None or future.task.state.is_terminal:
             return False
         entry = self._entries.pop(task_id, None)
         if entry is None:
             return False
-        entry.aborted = True
+        task = entry.task
         dispatcher = self._dispatchers.get(task.endpoint_id)
         if dispatcher is not None:
             dispatcher.retract(entry)
         task.state = TaskState.CANCELLED
-        task.completed_at = self.clock.now
         task.exception_text = f"TaskCancelled: task {task_id} was cancelled"
-        self._unbind_load(task.endpoint_id)
-        if self.overload is not None:
-            self.overload.on_finalize(entry)
-        if self.hedging is not None:
-            # a cancelled task's hedge arm (if any) is retracted too
-            self.hedging.on_finalize(entry)
-        tracer_of(self.clock).end_span(
-            entry.span, status="error", error="TaskCancelled: cancelled"
-        )
+        self._settle(entry, "error", "TaskCancelled: cancelled")
         self.events.emit(
             self.clock.now, "faas", "task.cancelled",
             task_id=task_id, endpoint=task.endpoint_id,
             attempt=entry.attempt,
         )
-        future = self._futures.get(task_id)
-        if future is not None and not future.done():
+        if not future.done():
             future.set_exception(
                 TaskCancelled(f"task {task_id} was cancelled")
             )
@@ -436,15 +425,9 @@ class FaaSService:
         endpoint_id = sub.endpoint_id
         endpoint = self.endpoint(endpoint_id)
 
-        offline_error: Optional[EndpointOffline] = None
-        if not endpoint.online:
-            if self.offline_policy == "raise":
-                raise EndpointOffline(f"endpoint {endpoint_id!r} is offline")
-            if self.offline_policy == "fail":
-                offline_error = EndpointOffline(
-                    f"endpoint {endpoint_id!r} was offline at submit"
-                )
-            # "queue": accept; the dispatch event re-checks liveness
+        if not endpoint.online and self.offline_policy == "raise":
+            raise EndpointOffline(f"endpoint {endpoint_id!r} is offline")
+        # "queue": accept; the dispatch event re-checks liveness
 
         # one canonical serialization serves both the size limit and the
         # idempotency key — serializing the payload is the single most
@@ -486,7 +469,6 @@ class FaaSService:
             queue_depth_at_route=route.queue_depth_at_route,
             priority=priority,
         )
-        self._tasks[task.task_id] = task
         self._bind_load(endpoint_id)
         future = TaskFuture(self.clock, task)
         future.service = self  # future.cancel() routes through the service
@@ -541,11 +523,6 @@ class FaaSService:
                 ),
                 resolve_direct=True,
             )
-            return future
-
-        if offline_error is not None:
-            # offline_policy="fail": a typed, already-failed future
-            self._finalize(entry, None, offline_error)
             return future
 
         self.pipeline.accepted(entry, timeout)
@@ -619,6 +596,27 @@ class FaaSService:
                         type(error), error, error.__traceback__
                     )
                 )
+        self._settle(
+            entry,
+            "ok" if task.state is TaskState.SUCCESS else "error",
+            "" if error is None else f"{type(error).__name__}: {error}",
+        )
+        self.events.emit(
+            self.clock.now, "faas", "task.completed",
+            task_id=task.task_id, state=task.state.value,
+            endpoint=task.endpoint_id, function=entry.spec.name,
+        )
+        if resolve_direct and error is not None:
+            entry.future.set_exception(error)
+        else:
+            entry.future.resolve_from_task()
+
+    def _settle(self, entry: PendingTask, status: str, error: str) -> None:
+        """Terminal bookkeeping shared by :meth:`_finalize` and
+        :meth:`cancel`: stamp the completion time, release the task's
+        load, live entry, overload slot and surviving hedge arm, and end
+        its span with ``status`` and ``error``."""
+        task = entry.task
         task.completed_at = self.clock.now
         self._unbind_load(task.endpoint_id)
         self._entries.pop(task.task_id, None)
@@ -627,29 +625,11 @@ class FaaSService:
         if self.hedging is not None:
             # sweep a surviving hedge arm before the future resolves
             self.hedging.on_finalize(entry)
-        tracer_of(self.clock).end_span(
-            entry.span,
-            status="ok" if task.state is TaskState.SUCCESS else "error",
-            error="" if error is None else f"{type(error).__name__}: {error}",
-        )
-        self.events.emit(
-            self.clock.now, "faas", "task.completed",
-            task_id=task.task_id, state=task.state.value,
-            endpoint=task.endpoint_id, function=entry.spec.name,
-        )
-        future = self._futures.get(task.task_id)
-        if future is not None:
-            if resolve_direct and error is not None:
-                future.set_exception(error)
-            else:
-                future.resolve_from_task()
+        tracer_of(self.clock).end_span(entry.span, status=status, error=error)
 
     # -- results ---------------------------------------------------------------
     def get_task(self, task_id: str) -> Task:
-        try:
-            return self._tasks[task_id]
-        except KeyError:
-            raise TaskFailed(f"unknown task {task_id!r}") from None
+        return self.get_future(task_id).task
 
     def get_future(self, task_id: str) -> TaskFuture:
         try:
@@ -671,4 +651,7 @@ class FaaSService:
         return task.result
 
     def tasks_for(self, identity_urn: str) -> List[Task]:
-        return [t for t in self._tasks.values() if t.identity_urn == identity_urn]
+        return [
+            f.task for f in self._futures.values()
+            if f.task.identity_urn == identity_urn
+        ]

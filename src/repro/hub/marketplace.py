@@ -27,7 +27,8 @@ class Marketplace:
     """Registry of published actions.
 
     An implementation is any object with a
-    ``run(step_context) -> StepOutcome`` method (see
+    ``run(step_context) -> StepOutcome`` method or a
+    ``run_async(step_context)`` method returning a future of one (see
     :mod:`repro.actions.engine`).
     """
 
@@ -45,8 +46,13 @@ class Marketplace:
             raise ValueError(
                 f"action reference must be 'owner/name@ref', got {reference!r}"
             )
-        if not hasattr(implementation, "run"):
-            raise TypeError("action implementation must define run(step_context)")
+        if not (
+            hasattr(implementation, "run") or hasattr(implementation, "run_async")
+        ):
+            raise TypeError(
+                "action implementation must define run(step_context) "
+                "or run_async(step_context)"
+            )
         self._actions[reference] = implementation
         self._metadata[reference] = metadata or ActionMetadata(reference=reference)
 

@@ -57,7 +57,8 @@ class _TokenBucket:
 
 
 class QuotaRegistry:
-    """Tracks per-tenant quotas, buckets, and live in-flight counts.
+    """Applies one quota to every tenant, with per-tenant token buckets
+    and live in-flight counts.
 
     ``check`` returns an empty string when the tenant may submit, or the
     rejection reason (``quota-inflight`` before ``quota-rate``: an
@@ -68,23 +69,15 @@ class QuotaRegistry:
 
     def __init__(self, default: TenantQuota | None = None) -> None:
         self.default = default or TenantQuota()
-        self._quotas: Dict[str, TenantQuota] = {}
         self._buckets: Dict[str, _TokenBucket] = {}
         self._inflight: Dict[str, int] = {}
-
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self._quotas[tenant] = quota
-        self._buckets.pop(tenant, None)
-
-    def quota_for(self, tenant: str) -> TenantQuota:
-        return self._quotas.get(tenant, self.default)
 
     def inflight(self, tenant: str) -> int:
         return self._inflight.get(tenant, 0)
 
     def check(self, tenant: str, now: float) -> str:
         """Admission verdict for one submission; consumes a rate token."""
-        quota = self.quota_for(tenant)
+        quota = self.default
         if quota.max_inflight > 0 and self.inflight(tenant) >= quota.max_inflight:
             return "quota-inflight"
         if quota.rate > 0.0:
@@ -102,15 +95,3 @@ class QuotaRegistry:
         count = self.inflight(tenant)
         if count > 0:
             self._inflight[tenant] = count - 1
-
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Current admission state per tenant that has ever been seen."""
-        tenants = set(self._quotas) | set(self._buckets) | set(self._inflight)
-        return {
-            tenant: {
-                "rate": self.quota_for(tenant).rate,
-                "max_inflight": float(self.quota_for(tenant).max_inflight),
-                "inflight": float(self.inflight(tenant)),
-            }
-            for tenant in sorted(tenants)
-        }

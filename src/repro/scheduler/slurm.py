@@ -157,10 +157,9 @@ class SlurmScheduler:
         """Call ``callback(job)`` when the job starts running.
 
         Fires immediately if the job already started (or synchronously
-        from :meth:`submit` when free nodes allow an instant start). This
-        is the event-driven alternative to :meth:`wait_for_start`: the
+        from :meth:`submit` when free nodes allow an instant start). The
         async pilot provisioning path registers a callback instead of
-        pumping the clock, so a queue wait on one site no longer blocks
+        pumping the clock, so a queue wait on one site never blocks
         progress anywhere else.
         """
         job = self.job(job_id)
@@ -170,16 +169,6 @@ class SlurmScheduler:
         self._start_watchers.setdefault(job_id, []).append(callback)
 
     # -- waiting helpers ---------------------------------------------------------
-    def wait_for_start(self, job_id: str, limit: float = float("inf")) -> Job:
-        """Advance virtual time until the job starts (or hits ``limit``)."""
-        job = self.job(job_id)
-        while job.state is JobState.PENDING:
-            nxt = self.clock.next_event_time()
-            if nxt is None or nxt > limit:
-                break
-            self.clock.run_until(nxt)
-        return job
-
     def wait_for(self, job_id: str, limit: float = float("inf")) -> Job:
         """Advance virtual time until the job reaches a terminal state."""
         job = self.job(job_id)

@@ -210,13 +210,10 @@ class SimClock:
 
     def _compact(self) -> None:
         """Drop every cancelled entry and re-heapify. O(live) — amortized
-        free, since at least as many entries die as survive."""
-        live: List[tuple] = []
-        for item in self._queue:
-            if item[2].cancelled:
-                item[2].in_queue = False
-            else:
-                live.append(item)
+        free, since at least as many entries die as survive. A dropped
+        entry keeps its ``in_queue`` flag: it is cancelled, so
+        :meth:`EventHandle.cancel` returns before reading the flag."""
+        live = [item for item in self._queue if not item[2].cancelled]
         heapq.heapify(live)
         self._queue = live
         self._cancelled = 0
@@ -229,7 +226,6 @@ class SimClock:
             if not head.cancelled:
                 return head
             heapq.heappop(queue)
-            head.in_queue = False
             self._cancelled -= 1
         return None
 

@@ -333,7 +333,7 @@ class TestServiceLeases:
         assert renewed, "dispatch/completion should heartbeat the lease"
         _drain(world)  # nothing left but the expiry check
         assert world.faas.endpoint(eid).online is False
-        assert world.faas.endpoint(eid).lease is None
+        assert world.faas.leases.lease(eid) is None
 
     def test_expiry_mid_task_fails_inflight_work(self):
         world = make_world()

@@ -114,6 +114,64 @@ class TestTaskFuture:
             future.result()
 
 
+class TestLaneWithdrawal:
+    """``EndpointDispatcher.withdraw`` takes one entry off a queue or the
+    lane and pumps nothing; ``retract`` pumps a lane it freed."""
+
+    @staticmethod
+    def _lane(two_endpoints, seconds):
+        world, client, ep_a, _ = two_endpoints
+        fid = client.register_function(_work, "work")
+        futures = [client.submit(ep_a, fid, s) for s in seconds]
+        # every dispatch event has fired and the first body is running
+        world.clock.run_until(world.clock.now + 5.0)
+        dispatcher = world.faas._dispatchers[ep_a]
+        assert dispatcher.inflight.task.task_id == futures[0].task_id
+        return world, dispatcher, [f.task_id for f in futures]
+
+    @staticmethod
+    def _queued(dispatcher):
+        return [entry.task.task_id for entry in dispatcher.queue]
+
+    def test_withdrawing_the_running_entry_frees_the_lane_only(
+        self, two_endpoints
+    ):
+        world, dispatcher, (first, second) = self._lane(
+            two_endpoints, (30.0, 1.0)
+        )
+        entry = dispatcher.inflight
+        assert dispatcher.withdraw(entry) is True
+        assert entry.aborted
+        assert dispatcher.inflight is None
+        # nothing was pumped: the next task still waits in the queue
+        assert self._queued(dispatcher) == [second]
+        assert world.faas.get_task(second).state is TaskState.PENDING
+
+    def test_withdrawing_a_queued_entry_removes_it(self, two_endpoints):
+        _, dispatcher, (first, second, third) = self._lane(
+            two_endpoints, (30.0, 1.0, 1.0)
+        )
+        running = dispatcher.inflight
+        entry = dispatcher.queue[0]
+        assert dispatcher.withdraw(entry) is False
+        assert entry.aborted
+        assert self._queued(dispatcher) == [third]
+        assert dispatcher.inflight is running
+
+    def test_retract_pumps_the_next_queued_entry_once(self, two_endpoints):
+        world, dispatcher, (first, second, third) = self._lane(
+            two_endpoints, (30.0, 1.0, 1.0)
+        )
+        assert dispatcher.retract(dispatcher.inflight) is True
+        assert dispatcher.inflight.task.task_id == second
+        assert self._queued(dispatcher) == [third]
+        dispatched = [
+            event.data["task_id"]
+            for event in world.events.query(source="faas", kind="task.dispatched")
+        ]
+        assert dispatched == [first, second]
+
+
 class TestFifoAcrossRetry:
     def test_retried_task_keeps_submission_order_on_endpoint(self):
         """A re-enqueued attempt may not jump behind a later batch.

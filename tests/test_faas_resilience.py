@@ -131,21 +131,10 @@ class TestOfflinePolicies:
         with pytest.raises(EndpointOffline, match="is offline"):
             client.submit(eid, fid)
 
-    def test_fail_policy_returns_an_already_failed_future(self):
-        world = make_world(
-            offline_policy="fail",
-            retry_policy=RetryPolicy(max_attempts=5, seed=0),
-        )
-        client, eid = cloud_endpoint(world)
-        world.faas.endpoint(eid).online = False
-        fid = client.register_function(_quick, "quick")
-        future = client.submit(eid, fid)
-        assert future.done()  # resolved without driving the clock
-        error = future.exception()
-        assert isinstance(error, TaskFailed) and error.retryable
-        assert "offline at submit" in error.remote_traceback
-        # the fail policy bypasses the retry loop entirely
-        assert world.faas.resilience.summary()["retries"] == 0
+    @pytest.mark.parametrize("policy", ["fail", "drop"])
+    def test_unknown_policy_is_refused(self, policy):
+        with pytest.raises(ValueError, match=rf"raise\|queue, got '{policy}'"):
+            make_world(offline_policy=policy)
 
     def test_queue_policy_retries_until_the_endpoint_returns(self):
         world = make_world(
@@ -248,6 +237,24 @@ class TestTimeouts:
         assert task.state is TaskState.FAILED and task.attempts == 1
         summary = world.faas.resilience.summary()
         assert summary["timeouts"] == 1 and summary["retries"] == 0
+
+    def test_deadline_on_a_running_task_dispatches_the_next_one(self):
+        world = make_world()
+        client, eid = cloud_endpoint(world)
+        fid = client.register_function(_slow, "slow")
+        quick = client.register_function(_quick, "quick")
+        doomed = client.submit(eid, fid, timeout=10.0)
+        queued = client.submit(eid, quick)
+        assert queued.result() == 42
+        error = doomed.exception()
+        assert isinstance(error, TaskFailed)
+        assert error.remote_traceback.startswith("TaskTimeout: ")
+        first = world.faas.get_task(doomed.task_id)
+        second = world.faas.get_task(queued.task_id)
+        assert first.state is TaskState.FAILED
+        # the deadline freed the lane and the queued task took it at once
+        assert second.started_at == pytest.approx(first.submitted_at + 10.0)
+        assert first.completed_at == pytest.approx(second.started_at)
 
     def test_task_faster_than_its_deadline_is_unaffected(self):
         world = make_world()

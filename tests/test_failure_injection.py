@@ -87,7 +87,7 @@ class TestEndpointFailures:
 
 
 class TestSchedulerPressure:
-    def test_saturated_queue_still_serves_fcfs(self, rig):
+    def test_saturated_queue_still_serves_fcfs(self, rig, run_until_started):
         world, user, mep = rig
         site = world.site("faster")
         from repro.scheduler.jobs import Job
@@ -96,7 +96,7 @@ class TestSchedulerPressure:
                    duration=5.0, walltime=60.0)
         site.scheduler.submit(ours)
         # background churn continues, but our job starts within one stagger
-        site.scheduler.wait_for_start(ours.job_id)
+        run_until_started(site.scheduler, ours)
         assert (ours.queue_wait or 0) <= 150.0 + 1e-6
 
 

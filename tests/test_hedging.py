@@ -297,7 +297,8 @@ class TestFailSlowComparison:
 
     def test_hedge_win_carries_provenance_on_the_task(self, comparison):
         world = comparison.hedged.world
-        user_urn = next(iter(world.faas._tasks.values())).identity_urn
+        first = world.events.query(source="faas", kind="task.submitted")[0]
+        user_urn = world.faas.get_task(first.data["task_id"]).identity_urn
         winners = [
             t for t in world.faas.tasks_for(user_urn)
             if getattr(t, "hedge_won", False)

@@ -223,6 +223,17 @@ class TestDeterminism:
         assert tenants == {0, 1}
 
 
+class TestOpenLoopTracing:
+    def test_every_arrival_starts_its_own_trace(self):
+        # arrivals fire from clock events, often inside another task's
+        # measured body; none may parent under that body's node span,
+        # or brownout's sampler (consulted per trace root) never sees it
+        result = run_overload(QUICK)
+        tasks = result.world.tracer.find(kind="task")
+        assert len(tasks) == result.stats.admitted + result.stats.rejected
+        assert [span for span in tasks if span.parent_id] == []
+
+
 class TestShedReplay:
     def test_shed_counts_reproduce_across_journal_replay(self):
         params = OverloadParams(

@@ -93,14 +93,14 @@ class TestCompletionAndWait:
         assert job.state is JobState.TIMEOUT
         assert clock.now == pytest.approx(50.0)
 
-    def test_fcfs_queueing(self):
+    def test_fcfs_queueing(self, run_until_started):
         clock, scheduler = make_scheduler(nodes=1)
         first = Job(user="u", partition="batch", duration=10.0, walltime=20.0)
         second = Job(user="u", partition="batch", duration=10.0, walltime=20.0)
         scheduler.submit(first)
         scheduler.submit(second)
         assert second.state is JobState.PENDING
-        scheduler.wait_for_start(second.job_id)
+        run_until_started(scheduler, second)
         assert second.start_time == pytest.approx(10.0)
         assert second.queue_wait == pytest.approx(10.0)
 
@@ -147,7 +147,7 @@ class TestCompletionAndWait:
 
 
 class TestBackfill:
-    def test_small_job_backfills_without_delaying_head(self):
+    def test_small_job_backfills_without_delaying_head(self, run_until_started):
         clock, scheduler = make_scheduler(nodes=2)
         # two 1-node jobs occupy the machine until t=100
         a = Job(user="u", partition="batch", duration=100.0, walltime=100.0)
@@ -167,10 +167,10 @@ class TestBackfill:
         scheduler.cancel(a.job_id)  # frees one node at t=0
         assert filler.state is JobState.RUNNING  # backfilled
         assert head.state is JobState.PENDING
-        scheduler.wait_for_start(head.job_id)
+        run_until_started(scheduler, head)
         assert head.start_time == pytest.approx(100.0)
 
-    def test_backfill_refused_if_it_would_delay_head(self):
+    def test_backfill_refused_if_it_would_delay_head(self, run_until_started):
         clock, scheduler = make_scheduler(nodes=2)
         a = Job(user="u", partition="batch", duration=100.0, walltime=100.0)
         scheduler.submit(a)
@@ -186,7 +186,7 @@ class TestBackfill:
         )
         scheduler.submit(long_filler)
         assert long_filler.state is JobState.PENDING
-        scheduler.wait_for_start(head.job_id)
+        run_until_started(scheduler, head)
         assert head.start_time == pytest.approx(100.0)
 
 

@@ -215,14 +215,14 @@ class TestSiteAndCatalog:
             > profiles["expanse"].cpu_speed
         )
 
-    def test_background_load_creates_queue_wait(self):
+    def test_background_load_creates_queue_wait(self, run_until_started):
         clock = SimClock()
         site = make_faster(clock, background_load=True)
         from repro.scheduler.jobs import Job
 
         job = Job(user="u", partition="normal", duration=5.0, walltime=60.0)
         site.scheduler.submit(job)
-        site.scheduler.wait_for_start(job.job_id)
+        run_until_started(site.scheduler, job)
         assert (job.queue_wait or 0) > 0
 
     def test_background_load_replenishes(self):

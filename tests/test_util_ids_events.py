@@ -122,6 +122,7 @@ class TestEventOrdering:
         assert sorted([late, early]) == [early, late]
 
 
+@pytest.mark.subscriber_errors
 class TestSubscriberIsolation:
     def test_raising_subscriber_does_not_abort_delivery(self):
         log = EventLog()
