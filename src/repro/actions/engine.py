@@ -57,10 +57,6 @@ class StepOutcome:
     log: str = ""
     error: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "failure"
-
 
 @dataclass
 class StepContext:
@@ -182,7 +178,6 @@ class Engine:
         runner_pool: RunnerPool,
         services: Optional[EngineServices] = None,
         events: Optional[EventLog] = None,
-        auto_subscribe: bool = True,
         concurrent_jobs: bool = False,
     ) -> None:
         self.hub = hub
@@ -197,8 +192,7 @@ class Engine:
         self._step_ledger: Optional[Dict[tuple, Dict[str, Any]]] = None
         self.replayed_steps = 0
         self._register_builtin_actions()
-        if auto_subscribe:
-            hub.subscribe(self.handle_event)
+        hub.subscribe(self.handle_event)
 
     @property
     def clock(self):

@@ -127,7 +127,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.experiment == "fig5":
         from repro.experiments import run_fig5_chaos
 
-        result = run_fig5_chaos(seed=args.seed, telemetry=telemetry)
+        if args.seed is not None or args.profile is not None:
+            print(
+                "error: chaos fig5 takes no --seed or --profile: its plan "
+                "is one deterministic test failure",
+                file=sys.stderr,
+            )
+            return 2
+        result = run_fig5_chaos(telemetry=telemetry)
         code = _render_fig5(
             result,
             "Chaos Fig. 5 — failing test reproduced by injection (fixed suite)",
@@ -138,7 +145,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments import format_chaos_report, run_fig4_chaos
 
     result = run_fig4_chaos(
-        seed=args.seed, profile=args.profile, telemetry=telemetry
+        seed=7 if args.seed is None else args.seed,
+        profile=args.profile or "flaky-endpoint",
+        telemetry=telemetry,
     )
     print(format_chaos_report(result))
     _maybe_print_metrics(args, result.world)
@@ -670,13 +679,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run chaotically",
     )
     chaos.add_argument(
-        "--seed", type=int, default=7,
-        help="fault-plan seed; the same seed replays the same chaos",
+        "--seed", type=int, default=None,
+        help=(
+            "fault-plan seed (fig4 only, default 7); the same seed "
+            "replays the same chaos"
+        ),
     )
     chaos.add_argument(
-        "--profile", default="flaky-endpoint",
+        "--profile", default=None,
         choices=["flaky-endpoint", "walltime", "partition", "fail-slow"],
-        help="named fault profile (fig4 only)",
+        help="named fault profile (fig4 only, default flaky-endpoint)",
     )
     _add_telemetry_flags(chaos)
     route = sub.add_parser(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -108,9 +109,9 @@ class CorrectInputs:
             raise InputValidationError(
                 f"unknown container_runtime {self.container_runtime!r}"
             )
-        if self.timeout < 0:
+        if not 0 <= self.timeout < math.inf:
             raise InputValidationError(
-                f"timeout must be non-negative, got {self.timeout}"
+                f"timeout must be a finite number >= 0, got {self.timeout}"
             )
 
 

@@ -65,28 +65,16 @@ class RunCheckpointer:
         journal: Any,
         events: EventLog,
         faas: Optional[Any] = None,
-        catch_up: bool = True,
     ) -> None:
         self.journal = journal
         self.events = events
         self.faas = faas
         self.crashed = False
         self._crash_at: Optional[int] = None
-        if catch_up:
-            # Late attachment must not lose history already emitted
-            # (endpoint registrations, provisioning) — replay it first.
-            events.replay_to(self.on_event)
-        self._unsubscribe = events.subscribe(self.on_event)
-
-    def close(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        # A batched journal buffers store writes; closing the run is a
-        # durability boundary, so drain whatever is pending.
-        flush = getattr(self.journal, "flush", None)
-        if flush is not None:
-            flush()
+        # Late attachment must not lose history already emitted
+        # (endpoint registrations, provisioning) — replay it first.
+        events.replay_to(self.on_event)
+        events.subscribe(self.on_event)
 
     def arm_crash(self, at_record: int) -> None:
         """Die the moment journal record ``at_record`` (1-based) lands."""

@@ -241,9 +241,8 @@ class Journal:
     def flush(self) -> int:
         """Push buffered records to the store; returns how many moved.
 
-        Idempotent and cheap when nothing is pending — callers at run
-        boundaries (checkpointer close, experiment teardown) flush
-        unconditionally.
+        Idempotent and cheap when nothing is pending, so the owner of a
+        batched journal flushes unconditionally once its run drains.
         """
         pending = self._pending
         if not pending:

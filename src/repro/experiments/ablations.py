@@ -50,14 +50,6 @@ class OverheadResult:
     per_task_latencies: List[float]
 
     @property
-    def pilot_total(self) -> float:
-        return sum(self.pilot_latencies)
-
-    @property
-    def per_task_total(self) -> float:
-        return sum(self.per_task_latencies)
-
-    @property
     def amortization_factor(self) -> float:
         """How much cheaper the pilot's steady-state tasks are."""
         steady = self.pilot_latencies[1:] or self.pilot_latencies
@@ -68,19 +60,18 @@ class OverheadResult:
         return per_task_mean / steady_mean if steady_mean > 0 else float("inf")
 
 
-def overhead_ablation(
-    n_tasks: int = 6, task_work: float = 5.0, site_name: str = "faster"
-) -> OverheadResult:
-    """Run the same task stream on a reused pilot and on per-task blocks."""
+def overhead_ablation(n_tasks: int = 6) -> OverheadResult:
+    """Run the same stream of 5 s tasks on FASTER, on a reused pilot and
+    on per-task blocks."""
     world = World()
-    world.register_user("ops", {site_name: "x-ops"})
-    site = world.site(site_name)
-    partition = common.SITE_PARTITIONS[site_name]
+    world.register_user("ops", {"faster": "x-ops"})
+    site = world.site("faster")
+    partition = common.SITE_PARTITIONS["faster"]
     assert partition is not None
 
     def run_task(executor: PilotExecutor) -> float:
         start = world.clock.now
-        executor.submit(lambda handle: handle.compute(task_work))
+        executor.submit(lambda handle: handle.compute(5.0))
         return world.clock.now - start
 
     # (a) one pilot, N tasks
@@ -117,21 +108,19 @@ class CloudOverheadResult:
         return (self.latencies[hi] - self.latencies[lo]) / (hi - lo)
 
 
-def cloud_overhead_sweep(
-    overheads: tuple = (0.0, 0.4, 0.8, 1.6, 3.2),
-    site_name: str = "chameleon",
-) -> CloudOverheadResult:
+def cloud_overhead_sweep() -> CloudOverheadResult:
     """Measure task round-trip time under different FaaS overheads.
 
     Rebuilds the world's cloud with each ``cloud_overhead_seconds``
-    setting and times a trivial task on an unscheduled site, so the
-    measured latency isolates the dispatch path: cloud overhead plus two
-    network traversals plus (constant) execution.
+    setting from 0 to 3.2 s and times a trivial task on Chameleon, an
+    unscheduled site, so the measured latency isolates the dispatch
+    path: cloud overhead plus two network traversals plus (constant)
+    execution.
     """
     from repro.faas.service import FaaSService
 
     latencies: Dict[float, float] = {}
-    for overhead in overheads:
+    for overhead in (0.0, 0.4, 0.8, 1.6, 3.2):
         world = World()
         world.faas = FaaSService(
             world.clock,
@@ -140,8 +129,8 @@ def cloud_overhead_sweep(
             cloud_overhead_seconds=overhead,
         )
         world.services.faas = world.faas
-        user = world.register_user("ops", {site_name: "x-ops"})
-        mep = common.deploy_site_mep(world, site_name)
+        user = world.register_user("ops", {"chameleon": "x-ops"})
+        mep = common.deploy_site_mep(world, "chameleon")
         client = ComputeClient(world.faas, user.client_id, user.client_secret)
         fid = client.register_function(lambda fctx: 0, name="noop")
         start = world.clock.now

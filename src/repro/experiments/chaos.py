@@ -18,8 +18,9 @@ seed-7 Fig. 4 report and the Fig. 5 one against pinned files).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from repro.experiments.fig4_parsldock import FIG4_SITES
 from repro.experiments.fig5_psij import Fig5Result, run_fig5
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import (
@@ -61,10 +62,6 @@ class ChaosFig4Result:
     def sites_ok(self) -> List[str]:
         return [s for s, st in self.site_status.items() if st == "ok"]
 
-    @property
-    def sites_skipped(self) -> List[str]:
-        return [s for s, st in self.site_status.items() if st == "skipped"]
-
 
 def run_suite_chaos(
     suite,
@@ -105,9 +102,7 @@ def run_fig4_chaos(
     seed: int = 7,
     profile: str = "flaky-endpoint",
     telemetry: bool = True,
-    sites: Tuple[str, ...] = ("chameleon", "faster", "expanse"),
     world_setup=None,
-    suite="fig4",
 ) -> ChaosFig4Result:
     """Execute Fig. 4 (as a suite) with the named fault profile armed.
 
@@ -116,11 +111,11 @@ def run_fig4_chaos(
     before any event flows.
     """
     suite_run = run_suite_chaos(
-        suite,
+        "fig4",
         seed=seed,
         profile=profile,
         telemetry=telemetry,
-        overrides={"site": list(sites)},
+        overrides={"site": list(FIG4_SITES)},
         world_setup=world_setup,
     )
     world = suite_run.world
@@ -164,9 +159,11 @@ def run_fig4_chaos(
     )
 
 
-def run_fig5_chaos(seed: int = 0, telemetry: bool = True) -> Fig5Result:
-    """§6.2's failing artifact reproduced by injection (fixed suite)."""
-    del seed  # the plan is a single deterministic test failure
+def run_fig5_chaos(telemetry: bool = True) -> Fig5Result:
+    """§6.2's failing artifact reproduced by injection (fixed suite).
+
+    The plan is a single deterministic test failure, so no seed applies.
+    """
     return run_fig5(telemetry=telemetry, inject_failure=True)
 
 

@@ -66,9 +66,9 @@ def repo_files() -> Dict[str, str]:
     }
 
 
-def run_exp63(telemetry: bool = True, suite=SUITE) -> Exp63Result:
+def run_exp63(telemetry: bool = True) -> Exp63Result:
     """Execute the §6.3 experiment; returns per-artifact outputs."""
-    return exp63_result_from(run_suite(suite, telemetry=telemetry))
+    return exp63_result_from(run_suite(SUITE, telemetry=telemetry))
 
 
 def exp63_result_from(suite_run) -> Exp63Result:

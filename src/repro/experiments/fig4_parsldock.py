@@ -133,9 +133,7 @@ def _run_gate_free(
     )
 
 
-def run_fig4_overlap(
-    sites: Tuple[str, ...] = FIG4_SITES, telemetry: bool = True
-) -> Fig4OverlapResult:
+def run_fig4_overlap(telemetry: bool = True) -> Fig4OverlapResult:
     """Demonstrate cross-site overlap from the deferred task lifecycle.
 
     Each site's job is first run alone (serialized baseline), then all
@@ -144,14 +142,14 @@ def run_fig4_overlap(
     series are identical in both modes — only the *makespan* shrinks.
     """
     per_site: Dict[str, float] = {}
-    for site_name in sites:
+    for site_name in FIG4_SITES:
         solo = _run_gate_free(
             (site_name,), concurrent_jobs=False, telemetry=telemetry
         )
         per_site[site_name] = solo.makespan
 
     concurrent = _run_gate_free(
-        sites, concurrent_jobs=True, telemetry=telemetry
+        FIG4_SITES, concurrent_jobs=True, telemetry=telemetry
     )
     durations: Dict[str, Dict[str, float]] = {}
     for result in concurrent.results:
@@ -167,25 +165,17 @@ def run_fig4_overlap(
     )
 
 
-def run_fig4(
-    sites: Tuple[str, ...] = FIG4_SITES,
-    telemetry: bool = True,
-    span_sampler=None,
-    world_setup=None,
-    suite=SUITE,
-) -> Fig4Result:
+def run_fig4(telemetry: bool = True, world_setup=None) -> Fig4Result:
     """Execute the full §6.1 experiment; returns the Fig. 4 series.
 
+    The experiment is just ``suites/fig4.yaml`` run with gates on.
     ``world_setup(world)``, if given, runs right after construction
     (e.g. to attach the observability plane before any event flows).
-    ``suite`` may name any compatible suite file — the experiment is
-    just ``suites/fig4.yaml`` run with gates on.
     """
     suite_run = run_suite(
-        suite,
-        overrides={"site": list(sites)},
+        SUITE,
+        overrides={"site": list(FIG4_SITES)},
         telemetry=telemetry,
-        span_sampler=span_sampler,
         world_setup=world_setup,
         strict=True,
     )

@@ -52,14 +52,14 @@ class Fig5Result:
         return any("CORRECT: remote command exited" in line for line in self.run.log)
 
 
-def inject_failure_plan(seed: int = 0) -> FaultPlan:
+def inject_failure_plan() -> FaultPlan:
     """The fault plan reproducing Fig. 5's failing test by injection.
 
     Arms the exact ``AttributeError`` the v0.9.9 renderer defect raises
     against the *patched* suite — proving the fault layer converges on
     the hard-coded failure path byte for byte.
     """
-    plan = FaultPlan(seed=seed, profile="fig5-inject")
+    plan = FaultPlan(seed=0, profile="fig5-inject")
     plan.add(
         TestFailure(
             at=0.0,
@@ -72,9 +72,7 @@ def inject_failure_plan(seed: int = 0) -> FaultPlan:
     return plan
 
 
-def run_fig5(
-    telemetry: bool = True, inject_failure: bool = False, suite=SUITE
-) -> Fig5Result:
+def run_fig5(telemetry: bool = True, inject_failure: bool = False) -> Fig5Result:
     """Execute the §6.2 experiment; returns the run + recovered outputs.
 
     ``inject_failure=True`` ships the *fixed* PSI/J suite and reproduces
@@ -83,7 +81,7 @@ def run_fig5(
     """
     faults = inject_failure_plan() if inject_failure else None
     suite_run = run_suite(
-        suite,
+        SUITE,
         telemetry=telemetry,
         faults=faults,
         arm_faults="at-start" if inject_failure else "none",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.chaos import run_fig4_chaos
-from repro.experiments.fig4_parsldock import FIG4_SITES, run_fig4
+from repro.experiments.fig4_parsldock import run_fig4
 from repro.faults.profiles import FAULT_FREE_PROFILES
 from repro.telemetry import (
     DEFAULT_WINDOW,
@@ -87,12 +87,9 @@ def run_fig4_obs(
     profile: str = "flaky-endpoint",
     window: float = DEFAULT_WINDOW,
     rules=None,
-    telemetry: bool = True,
     health_routing: bool = False,
-    sites: Tuple[str, ...] = FIG4_SITES,
-    suite: str = "fig4",
 ) -> ObsFig4Result:
-    """Run a suite (Fig. 4 by default) with the observability plane attached.
+    """Run Fig. 4 with the observability plane attached.
 
     ``profile="none"`` runs the fault-free experiment (the default SLO
     pack must stay silent on it); any chaos profile name runs
@@ -106,14 +103,9 @@ def run_fig4_obs(
         )
 
     if profile in FAULT_FREE_PROFILES:
-        base = run_fig4(
-            sites=sites, telemetry=telemetry, world_setup=setup, suite=suite
-        )
+        base = run_fig4(world_setup=setup)
     else:
-        base = run_fig4_chaos(
-            seed=seed, profile=profile, telemetry=telemetry, sites=sites,
-            world_setup=setup, suite=suite,
-        )
+        base = run_fig4_chaos(seed=seed, profile=profile, world_setup=setup)
     world = base.world
     end_time = world.clock.now
     # the final (partial) bucket never closes on its own — no later

@@ -50,7 +50,6 @@ def _execute(
     telemetry: bool = True,
     seed: int = 0,
     journaled: bool = True,
-    suite=RECOVERY_SUITE,
 ):
     """One journaled suite run; returns (world, run, journal, crashed).
 
@@ -64,13 +63,11 @@ def _execute(
     across baseline, crash, and resume.
     """
     prepared = prepare_suite(
-        suite,
+        RECOVERY_SUITE,
         telemetry=telemetry,
         concurrent_jobs=True,
         gated=False,
-        name_override=(
-            "ParslDock crash-safe CI" if suite == RECOVERY_SUITE else ""
-        ),
+        name_override="ParslDock crash-safe CI",
     )
     world = prepared.world
     prepared.builder.add_job(
@@ -96,12 +93,12 @@ def _execute(
     return world, suite_run.run, journal, suite_run.crashed
 
 
-def crash_points_of(journal, job_count: int = len(RECOVERY_SITES)) -> Dict[str, int]:
+def crash_points_of(journal) -> Dict[str, int]:
     """Map each named crash point to its 1-based journal record offset.
 
-    ``job_count`` is the number of first-wave test jobs (one per suite
-    instance job for the default Fig. 4 recovery suite).
+    The first wave holds one test job per recovery site.
     """
+    job_count = len(RECOVERY_SITES)
     dispatched: List[int] = []
     completed: List[int] = []
     jobs_finished: List[int] = []

@@ -15,7 +15,7 @@ divided by each case's thread count), any policy that actually spreads
 them across the pool cuts the makespan — the measurable win the routing
 CLI and ``benchmarks/test_routing.py`` assert.
 
-The pooled run defaults to the cloud site only. On the batch sites a
+The pooled run uses the cloud site only. On the batch sites a
 second pool member provisions its own SLURM pilot, and under the
 catalog's background load one node frees every 150–240 s — so the extra
 cold-pilot queue wait exceeds the ~80 s of shard work it would absorb,
@@ -91,23 +91,18 @@ class RoutingComparison:
 
 
 def run_pooled(
-    policy: str,
-    pool_size: int = 2,
-    sites: Tuple[str, ...] = ROUTE_SITES,
-    telemetry: bool = True,
-    suite=ROUTE_SUITE,
+    policy: str, pool_size: int = 2, telemetry: bool = True
 ) -> PooledRun:
     """One sharded suite run on ``pool_size`` endpoints per site.
 
-    The workload comes from a suite file (``suites/fig4-sharded.yaml``
-    by default) whose jobs use ``route: pool`` — each job targets its
-    *site name* and the router's policy picks a pool member. Placements
-    are keyed by each instance's ``shard`` variable (falling back to the
-    step id for suites without one).
+    The workload comes from ``suites/fig4-sharded.yaml``, whose jobs use
+    ``route: pool`` — each job targets its *site name* and the router's
+    policy picks a pool member. Placements are keyed by each instance's
+    ``shard`` variable.
     """
     suite_run = run_suite(
-        suite,
-        overrides={"site": list(sites)},
+        ROUTE_SUITE,
+        overrides={"site": list(ROUTE_SITES)},
         strict=True,
         telemetry=telemetry,
         concurrent_jobs=True,
@@ -126,7 +121,7 @@ def run_pooled(
     for record in world.provenance.all():
         instance = by_artifact.get(record.stdout_artifact)
         if instance is not None:
-            shard = str(instance.variables.get("shard", instance.step_id))
+            shard = str(instance.variables["shard"])
             placements[instance.target][shard] = record.endpoint_id
     return PooledRun(
         policy=policy,
@@ -142,9 +137,7 @@ def run_pooled(
 def run_fig4_pooled(
     policy: str = "least-loaded",
     pool_size: int = 2,
-    sites: Tuple[str, ...] = ROUTE_SITES,
     telemetry: bool = True,
-    suite=ROUTE_SUITE,
 ) -> RoutingComparison:
     """Sharded Fig. 4 under ``pinned`` vs. ``policy`` on identical pools.
 
@@ -153,14 +146,8 @@ def run_fig4_pooled(
     through pool member 0 of its site; a load-spreading policy runs the
     shards side by side, cutting the makespan.
     """
-    pinned = run_pooled(
-        "pinned", pool_size=pool_size, sites=sites,
-        telemetry=telemetry, suite=suite,
-    )
-    routed = run_pooled(
-        policy, pool_size=pool_size, sites=sites,
-        telemetry=telemetry, suite=suite,
-    )
+    pinned = run_pooled("pinned", pool_size=pool_size, telemetry=telemetry)
+    routed = run_pooled(policy, pool_size=pool_size, telemetry=telemetry)
     return RoutingComparison(pinned=pinned, routed=routed)
 
 

@@ -38,10 +38,6 @@ class ComputeClient:
     def identity_urn(self) -> str:
         return self._token.identity.urn
 
-    @property
-    def token_value(self) -> str:
-        return self._token.value
-
     def register_function(
         self,
         fn: Callable[..., Any],

@@ -161,7 +161,6 @@ class MultiUserEndpoint:
         shell_services: ShellServices,
         templates: Optional[Dict[str, EndpointTemplate]] = None,
         policy: Optional[HighAssurancePolicy] = None,
-        audit_log: Optional[List[dict]] = None,
         instance: str = "",
     ) -> None:
         self.site = site
@@ -176,7 +175,7 @@ class MultiUserEndpoint:
             else deterministic_uuid("mep", site.name)
         )
         self.online = True
-        self.audit_log: List[dict] = audit_log if audit_log is not None else []
+        self.audit_log: List[dict] = []
         self._ueps: Dict[tuple, UserEndpoint] = {}
 
     def user_endpoint(

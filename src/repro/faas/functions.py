@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import FunctionNotRegistered
 from repro.shellsim.session import ShellServices, ShellSession
@@ -33,10 +33,6 @@ class FunctionContext:
             env=dict(self.env),
             cwd=self.cwd,
         )
-
-    @property
-    def site_name(self) -> str:
-        return self.handle.site.name
 
 
 @dataclass(frozen=True)
@@ -86,12 +82,3 @@ class FunctionRegistry:
             raise FunctionNotRegistered(
                 f"no function {function_id!r} registered"
             ) from None
-
-    def has(self, function_id: str) -> bool:
-        return function_id in self._functions
-
-    def by_name(self, owner_urn: str, name: str) -> FunctionSpec:
-        return self.get(deterministic_uuid("function", owner_urn, name))
-
-    def ids(self) -> List[str]:
-        return sorted(self._functions)

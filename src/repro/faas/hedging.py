@@ -275,7 +275,6 @@ class HedgeStats:
     hedges_launched: int = 0
     hedges_won: int = 0  # the duplicate produced the winning result
     hedges_cancelled: int = 0  # a loser arm was retracted unfinished
-    hedges_lost: int = 0  # the duplicate errored; primary kept deciding
     # duplicate execution seconds: virtual time during which *two* copies
     # of one task were executing at once — the redundant half of each
     # race's overlap window, whichever arm ends up winning
@@ -585,7 +584,6 @@ class HedgeController:
                 # outcome — the primary stays the sole decider and the
                 # breaker/retry chain never sees speculative failures.
                 del self._races[task.task_id]
-                self.stats.hedges_lost += 1
                 if entry.dispatched_at is not None:
                     self.stats.wasted_seconds += max(
                         0.0, now - entry.dispatched_at

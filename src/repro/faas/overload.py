@@ -233,14 +233,9 @@ class AIMDLimiter:
 class OverloadStats:
     admitted: int = 0
     rejected: int = 0
-    rejected_rate: int = 0
-    rejected_inflight: int = 0
-    rejected_concurrency: int = 0
     shed: int = 0
     backoffs: int = 0
-    retries_allowed: int = 0
     retries_denied: int = 0
-    brownouts: int = 0
     brownout_seconds: float = 0.0
 
 
@@ -324,12 +319,6 @@ class OverloadController:
             self.stats.rejected += 1
             if sub.rejected == "shed":
                 self.stats.shed += 1
-            elif sub.rejected == "quota-rate":
-                self.stats.rejected_rate += 1
-            elif sub.rejected == "quota-inflight":
-                self.stats.rejected_inflight += 1
-            elif sub.rejected == "concurrency":
-                self.stats.rejected_concurrency += 1
             self.service.events.emit(
                 now,
                 "faas",
@@ -383,7 +372,6 @@ class OverloadController:
         scope = self.budget.check(task.identity_urn, now)
         if scope is None:
             self.budget.record_retry(task.identity_urn, now)
-            self.stats.retries_allowed += 1
             return True
         self.stats.retries_denied += 1
         self.service.events.emit(
@@ -421,7 +409,6 @@ class OverloadController:
                 self._saved_sampler = tracer.sampler
                 tracer.sampler = self._degraded_sampler
             self._brownout_since = now
-            self.stats.brownouts += 1
             self.service.events.emit(
                 now, "faas", "overload.brownout", state="enter", depth=self.pending
             )

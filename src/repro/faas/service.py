@@ -21,6 +21,7 @@ endpoints interleave in virtual time — the FaaS amortization argument of
 from __future__ import annotations
 
 import itertools
+import math
 import traceback
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
@@ -406,10 +407,19 @@ class FaaSService:
         Validation raises eagerly; offline endpoints follow
         ``offline_policy``; an open breaker reroutes to the declared
         fallback or raises :class:`CircuitOpen`; ``timeout`` bounds the
-        task's total virtual-time lifetime, retries included.
-        ``priority`` is the overload-plane shedding class (0 = critical,
-        higher is cheaper to shed; ignored when the plane is off).
+        task's total virtual-time lifetime, retries included, and must be
+        a finite number of seconds >= 0 (checked before anything about
+        the task is recorded). ``priority`` is the overload-plane
+        shedding class (0 = critical, higher is cheaper to shed; ignored
+        when the plane is off).
         """
+        if timeout is not None and not (
+            isinstance(timeout, (int, float)) and 0 <= timeout < math.inf
+        ):
+            raise ValueError(
+                "timeout must be a finite number of seconds >= 0, "
+                f"got {timeout!r}"
+            )
         kwargs = kwargs or {}
         token = self.auth.introspect(token_value, required_scope=SCOPE_COMPUTE)
         spec = self.functions.get(function_id)

@@ -81,9 +81,3 @@ class Task:
         if self.started_at is None:
             return None
         return self.started_at - self.submitted_at
-
-    @property
-    def execution_time(self) -> Optional[float]:
-        if self.started_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at

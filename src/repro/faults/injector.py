@@ -174,10 +174,6 @@ class FaultInjector:
             else:
                 raise TypeError(f"unknown fault type {type(fault).__name__}")
 
-    def disarm(self) -> None:
-        if getattr(self.clock, "fault_injector", None) is self:
-            self.clock.fault_injector = None
-
     def _record(self, kind: str, **data) -> None:
         entry = {"time": self.clock.now, "kind": kind, **data}
         self.injected.append(entry)

@@ -95,6 +95,3 @@ class PermanentArchive:
 
     def versions(self, concept_doi: str) -> List[Deposit]:
         return [self._deposits[d] for d in self._concepts.get(concept_doi, [])]
-
-    def __len__(self) -> int:
-        return len(self._deposits)

@@ -41,9 +41,6 @@ class ProvenanceStore:
     def for_repo(self, slug: str) -> List[ExecutionRecord]:
         return [r for r in self._records if r.repo_slug == slug]
 
-    def for_commit(self, sha: str) -> List[ExecutionRecord]:
-        return [r for r in self._records if r.commit_sha == sha]
-
     def for_site(self, site: str) -> List[ExecutionRecord]:
         return [r for r in self._records if r.site == site]
 

@@ -56,12 +56,6 @@ class Job:
             return None
         return self.start_time - self.submit_time
 
-    @property
-    def elapsed(self) -> Optional[float]:
-        if self.start_time is None or self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Job({self.job_id or '?'} {self.name!r} user={self.user} "

@@ -43,12 +43,6 @@ class Partition:
     def node_count(self) -> int:
         return len(self.nodes)
 
-    def node_by_name(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(name)
-
 
 def make_nodes(
     prefix: str,

@@ -169,12 +169,12 @@ class SlurmScheduler:
         self._start_watchers.setdefault(job_id, []).append(callback)
 
     # -- waiting helpers ---------------------------------------------------------
-    def wait_for(self, job_id: str, limit: float = float("inf")) -> Job:
+    def wait_for(self, job_id: str) -> Job:
         """Advance virtual time until the job reaches a terminal state."""
         job = self.job(job_id)
         while not job.state.is_terminal:
             nxt = self.clock.next_event_time()
-            if nxt is None or nxt > limit:
+            if nxt is None:
                 break
             self.clock.run_until(nxt)
         return job

@@ -88,15 +88,6 @@ class SuiteRun:
     def ok(self) -> bool:
         return all(r.status != "failed" for r in self.results)
 
-    def by_key(self) -> Dict[str, InstanceResult]:
-        return {r.key: r for r in self.results}
-
-    def result_for(self, instance_id: str) -> Optional[InstanceResult]:
-        for result in self.results:
-            if result.instance.instance_id == instance_id:
-                return result
-        return None
-
 
 def _suite_files(spec: SuiteSpec, files_kwargs: Optional[Dict] = None) -> Dict[str, str]:
     factory = spec.resolve_ref(spec.repo_files)
@@ -112,23 +103,14 @@ def _suite_files(spec: SuiteSpec, files_kwargs: Optional[Dict] = None) -> Dict[s
 def prepare_suite(
     spec,
     overrides: Optional[Dict[str, Any]] = None,
-    telemetry: bool = True,
-    span_sampler=None,
     world_setup: Optional[Callable] = None,
-    faults=None,
     arm_faults: str = "none",  # "none" | "at-start" | "after-setup"
-    retry_policy=None,
-    breaker=None,
-    offline_policy: str = "raise",
-    placement_policy: str = "pinned",
-    concurrent_jobs: bool = False,
     pool_size: int = 1,
     fallbacks: Optional[Dict[str, str]] = None,
     name_override: str = "",
     gated: bool = True,
     files_kwargs: Optional[Dict] = None,
-    overload=None,
-    hedge=None,
+    **world: Any,
 ) -> PreparedSuite:
     """Set up the suite's world in the legacy apps' exact operation order.
 
@@ -137,7 +119,8 @@ def prepare_suite(
     declared, deploy a pool of ``pool_size`` MEPs) -> declare fallbacks ->
     arm after-setup faults -> render workflow. Fault times with
     ``after-setup`` mean "virtual seconds into the CI run", matching the
-    chaos experiments.
+    chaos experiments. Every other keyword (``telemetry``, ``faults``,
+    ``retry_policy``, ...) goes to :class:`~repro.world.World` as is.
     """
     from repro.experiments import common
     from repro.world import World
@@ -147,21 +130,10 @@ def prepare_suite(
     if arm_faults not in ("none", "at-start", "after-setup"):
         raise SuiteError(f"bad arm_faults {arm_faults!r}")
 
-    world = World(
-        concurrent_jobs=concurrent_jobs,
-        telemetry=telemetry,
-        span_sampler=span_sampler,
-        faults=faults,
-        retry_policy=retry_policy,
-        breaker=breaker,
-        offline_policy=offline_policy,
-        placement_policy=placement_policy,
-        overload=overload,
-        hedge=hedge,
-    )
+    world = World(**world)
     if world_setup is not None:
         world_setup(world)
-    if faults is not None and arm_faults == "at-start":
+    if world.fault_injector is not None and arm_faults == "at-start":
         world.arm_faults()
 
     sites = mat.sites()
@@ -199,7 +171,7 @@ def prepare_suite(
                 endpoints[from_site], endpoints[to_site]
             )
 
-    if faults is not None and arm_faults == "after-setup":
+    if world.fault_injector is not None and arm_faults == "after-setup":
         world.arm_faults()
 
     builder = build_workflow_builder(

@@ -24,9 +24,10 @@ The schema (all strings may reference series variables with ``{name}``):
     containers:                       # optional container publication
       image: repro.apps.kamping.artifacts:kamping_image
       commands: repro.apps.kamping.artifacts:register_artifact_commands
-    retry:                            # optional resilience policy
-      max_attempts: 5
-      base_delay: 5.0
+    retry:                            # optional; sweeps under a fault profile
+      max_attempts: 5                 # integer >= 1
+      base_delay: 5.0                 # multiplier, max_delay, jitter too;
+                                      # every number finite and >= 0
     series:
       pytest:
         variables: {site: [chameleon, faster, expanse]}
@@ -36,7 +37,9 @@ The schema (all strings may reference series variables with ``{name}``):
         target: "{site}"              # site the job's endpoint lives on
         route: endpoint               # or "pool": route via site name
         skip_if: ""                   # python expr over the variables
-        timeout: 0                    # per-test deadline (seconds)
+        timeout: 0                    # per-test deadline: finite seconds
+                                      # >= 0, 0 = none (test: may set its own)
+                                      # no retry: here, one policy per service
         test:
           name: "Run pytest on {site}"
           id: "pytest-{site}"
@@ -51,13 +54,19 @@ The schema (all strings may reference series variables with ``{name}``):
 from __future__ import annotations
 
 import importlib
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.errors import ReproError, YamliteError
+from repro.faults.resilience import RetryPolicy
 from repro.util import yamlite
+
+# the keys a suite's ``retry:`` block may set: the sweep seeds the
+# policy from its own ``--seed``
+_RETRY_KEYS = tuple(f.name for f in fields(RetryPolicy) if f.name != "seed")
 
 
 class SuiteError(ReproError):
@@ -101,7 +110,6 @@ class SeriesSpec:
     route: str = "endpoint"  # "endpoint" | "pool"
     skip_if: str = ""
     timeout: float = 0.0
-    retry: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -196,6 +204,48 @@ def load_suite(name_or_path) -> SuiteSpec:
     return parse_suite(text, source=str(path))
 
 
+def _timeout(value: Any, context: str, where: str) -> float:
+    """A ``timeout:`` in virtual seconds: finite and >= 0 (0 = none)."""
+    try:
+        seconds = float(value or 0.0)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not 0.0 <= seconds < math.inf:
+        raise SuiteError(
+            f"{context} timeout must be a finite number of seconds >= 0, "
+            f"got {value!r}{where}"
+        )
+    return seconds
+
+
+def _retry(doc: Any, where: str) -> Dict[str, Any]:
+    """The top-level ``retry:`` block, checked against :class:`RetryPolicy`."""
+    if not doc:
+        return {}
+    if not isinstance(doc, dict):
+        raise SuiteError(f"retry must be a mapping{where}")
+    unknown = sorted(set(doc) - set(_RETRY_KEYS))
+    if unknown:
+        raise SuiteError(
+            f"retry has unknown keys {unknown}; choices: {list(_RETRY_KEYS)}{where}"
+        )
+    for key, value in doc.items():
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not 0 <= value < math.inf
+        ):
+            raise SuiteError(
+                f"retry {key} must be a finite number >= 0, got {value!r}{where}"
+            )
+    attempts = doc.get("max_attempts", 1)
+    if not isinstance(attempts, int) or attempts < 1:
+        raise SuiteError(
+            f"retry max_attempts must be an integer >= 1, got {attempts!r}{where}"
+        )
+    return dict(doc)
+
+
 def parse_suite(text: str, source: str = "") -> SuiteSpec:
     """Parse yamlite text into a validated :class:`SuiteSpec`."""
     where = f" (in {source})" if source else ""
@@ -248,7 +298,7 @@ def parse_suite(text: str, source: str = "") -> SuiteSpec:
             artifact_prefix=str(test_doc.get("artifact_prefix", "correct")),
             clone=bool(test_doc.get("clone", True)),
             container_image=str(test_doc.get("container_image", "") or ""),
-            timeout=float(test_doc.get("timeout", 0.0) or 0.0),
+            timeout=_timeout(test_doc.get("timeout"), f"{context} test", where),
         )
         parse_doc = conf.get("parse") or {}
         parse = ParseSpec(
@@ -270,6 +320,11 @@ def parse_suite(text: str, source: str = "") -> SuiteSpec:
             raise SuiteError(
                 f"{context} permutations must be a list of mappings{where}"
             )
+        if "retry" in conf:
+            raise SuiteError(
+                f"{context} declares a retry: block, but a retry policy is "
+                f"one per service; set it in the top-level retry: block{where}"
+            )
         route = str(conf.get("route", "endpoint"))
         if route not in ("endpoint", "pool"):
             raise SuiteError(
@@ -287,8 +342,7 @@ def parse_suite(text: str, source: str = "") -> SuiteSpec:
             target=str(conf.get("target", "{site}")),
             route=route,
             skip_if=str(conf.get("skip_if", "") or ""),
-            timeout=float(conf.get("timeout", 0.0) or 0.0),
-            retry=dict(conf.get("retry") or {}),
+            timeout=_timeout(conf.get("timeout"), context, where),
         )
 
     spec = SuiteSpec(
@@ -307,7 +361,7 @@ def parse_suite(text: str, source: str = "") -> SuiteSpec:
         sites=sites,
         containers_image=str(containers.get("image", "") or ""),
         containers_commands=str(containers.get("commands", "") or ""),
-        retry=dict(doc.get("retry") or {}),
+        retry=_retry(doc.get("retry"), where),
         source=source,
     )
     if spec.stack_packages and not spec.stack_env:

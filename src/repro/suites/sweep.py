@@ -61,7 +61,6 @@ def run_sweep(
     pool_size: int = 1,
     overrides: Optional[Dict[str, Any]] = None,
     telemetry: bool = True,
-    world_setup=None,
     overload=None,
     hedge=None,
 ) -> SweepResult:
@@ -91,7 +90,6 @@ def run_sweep(
         spec,
         overrides=overrides,
         telemetry=telemetry,
-        world_setup=world_setup,
         faults=plan,
         arm_faults="after-setup" if plan is not None else "none",
         retry_policy=retry_policy,

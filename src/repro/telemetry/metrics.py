@@ -339,24 +339,18 @@ class EventMetricsBridge:
     The bridge holds a tiny join table (task id → submit time/endpoint)
     so latencies need no second pass over the log.
 
-    With ``series`` set (a
-    :class:`~repro.telemetry.timeseries.TimeSeriesStore`), the bridge
+    Once :meth:`attach_series` hands it a
+    :class:`~repro.telemetry.timeseries.TimeSeriesStore`, the bridge
     additionally records windowed series for the observability plane —
     per-endpoint/per-pool queue waits, queue-depth gauges,
     success/failure counters, breaker state — and advances the store's
     bucket clock after every event so SLO evaluation fires at
-    deterministic virtual times. ``series=None`` (the default) skips all
-    of it.
+    deterministic virtual times. Until then it skips all of it.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        events: EventLog,
-        series: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry, events: EventLog) -> None:
         self.registry = registry
-        self.series = series
+        self.series: Optional[Any] = None
         self._submits: Dict[str, Tuple[float, str]] = {}
         # endpoint → virtual time its breaker opened, for the
         # faas.breaker.open_seconds duration gauge recorded at close
@@ -384,8 +378,6 @@ class EventMetricsBridge:
         self._s_pool_wait: Dict[str, Any] = {}
         self._s_ok: Dict[str, Any] = {}
         self._s_fail: Dict[str, Any] = {}
-        if series is not None:
-            self.attach_series(series)
         self._unsubscribe: Optional[Callable[[], None]] = events.subscribe(
             self.on_event
         )

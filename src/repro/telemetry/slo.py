@@ -323,53 +323,49 @@ def default_slo_pack(
     ]
 
 
-def overload_slo_pack(
-    window: float = 60.0,
-    shed_rate_threshold: float = 0.05,
-    queue_p95_threshold: float = 900.0,
-    retry_rate_threshold: float = 0.9,
-) -> List[AlertRule]:
+def overload_slo_pack() -> List[AlertRule]:
     """The SLO pack for overload-protection runs (``repro overload``).
 
     Three rules over the series the overload plane and metrics bridge
-    emit, calibrated so a fair-share fault-free run stays silent while
-    a hot tenant under the ``overload`` chaos profile fires:
+    emit, burning over 5 and 15 of the plane's 60 s windows and
+    calibrated so a fair-share fault-free run stays silent while a hot
+    tenant under the ``overload`` chaos profile fires:
 
     * ``shed-burn`` — shed submissions over dispatch attempts must stay
-      under ``shed_rate_threshold``; a fault-free fair-share run sheds
-      exactly zero, so this alert is impossible without overload.
-    * ``overload-queue-p95`` — p95 task queue wait must stay under
-      ``queue_p95_threshold`` virtual seconds (tighter than the default
-      pack's figure budget: overload shows up as queueing first).
+      under 5%; a fault-free fair-share run sheds exactly zero, so this
+      alert is impossible without overload.
+    * ``overload-queue-p95`` — p95 task queue wait must stay under 900
+      virtual seconds (tighter than the default pack's figure budget:
+      overload shows up as queueing first).
     * ``retry-storm-burn`` — failed attempts over total attempts must
-      stay under ``retry_rate_threshold``; the retry budget exists to
-      keep this ratio bounded even under injected fault bursts. Tight
-      per-task deadlines make some windowed failure ratio normal even
-      at fair share, so the threshold is deliberately high: only a
-      genuine storm — most of a window's attempts dying — crosses it.
+      stay under 90%; the retry budget exists to keep this ratio
+      bounded even under injected fault bursts. Tight per-task
+      deadlines make some windowed failure ratio normal even at fair
+      share, so the threshold is deliberately high: only a genuine
+      storm — most of a window's attempts dying — crosses it.
     """
-    fast = max(window, 5 * window)
-    slow = max(fast, 15 * window)
+    fast = 5 * 60.0
+    slow = 15 * 60.0
     shed_rate = Objective(
         name="shed-rate",
         kind="ratio",
         numerator="overload.shed",
         denominator="faas.attempts",
-        threshold=shed_rate_threshold,
+        threshold=0.05,
     )
     queue_p95 = Objective(
         name="overload-queue-p95",
         kind="latency",
         series="faas.task.queue_wait",
         percentile=95.0,
-        threshold=queue_p95_threshold,
+        threshold=900.0,
     )
     retry_rate = Objective(
         name="retry-rate",
         kind="ratio",
         numerator="faas.attempt.failures",
         denominator="faas.attempts",
-        threshold=retry_rate_threshold,
+        threshold=0.9,
     )
     return [
         AlertRule(

@@ -142,8 +142,5 @@ class _NullSpan:
     def __init__(self) -> None:
         self.attributes: Dict[str, Any] = {}
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullSpan()"

@@ -210,14 +210,9 @@ class QuantileSeries(_Series):
 
     kind = "quantile"
 
-    def __init__(
-        self,
-        window: float,
-        max_buckets: int,
-        bounds: Tuple[float, ...] = DEFAULT_BOUNDS,
-    ) -> None:
+    def __init__(self, window: float, max_buckets: int) -> None:
         super().__init__(window, max_buckets)
-        self.bounds = bounds
+        self.bounds = DEFAULT_BOUNDS
         self.count = 0
         self.total = 0.0
 
@@ -272,7 +267,6 @@ class TimeSeriesStore:
         self,
         window: float = DEFAULT_WINDOW,
         max_buckets: int = DEFAULT_MAX_BUCKETS,
-        bounds: Tuple[float, ...] = DEFAULT_BOUNDS,
     ) -> None:
         # NaN fails the first bucket write, infinity folds every
         # observation into bucket 0, and an empty ring records nothing
@@ -284,7 +278,6 @@ class TimeSeriesStore:
             )
         self.window = float(window)
         self.max_buckets = max_buckets
-        self.bounds = bounds
         self._series: Dict[Tuple[str, LabelKey], _Series] = {}
         self._observers: List[Callable[[float], None]] = []
         self._last_bucket: Optional[int] = None
@@ -293,10 +286,7 @@ class TimeSeriesStore:
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         series = self._series.get(key)
         if series is None:
-            if cls is QuantileSeries:
-                series = cls(self.window, self.max_buckets, self.bounds)
-            else:
-                series = cls(self.window, self.max_buckets)
+            series = cls(self.window, self.max_buckets)
             self._series[key] = series
         elif not isinstance(series, cls):
             raise TypeError(

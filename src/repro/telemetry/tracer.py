@@ -68,22 +68,18 @@ class _Activation:
 class Tracer:
     """Produces hierarchical spans stamped with virtual time.
 
-    ``sampler`` decides, once per trace *root*, whether the whole trace
-    materializes (see :mod:`repro.telemetry.sampling`). A sampled-out
-    root — and every descendant started under its context — resolves to
-    one shared inert span: attach-but-sample-out costs no allocations.
+    ``sampler`` (every trace, until assigned) decides, once per trace
+    *root*, whether the whole trace materializes (see
+    :mod:`repro.telemetry.sampling`). A sampled-out root — and every
+    descendant started under its context — resolves to one shared inert
+    span: attach-but-sample-out costs no allocations.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: SimClock,
-        register: bool = True,
-        sampler=None,
-    ) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.sampler = sampler if sampler is not None else ALWAYS_SAMPLER
+        self.sampler = ALWAYS_SAMPLER
         self.spans: List[Span] = []
         self._by_id: Dict[str, Span] = {}
         self._stack: List[Optional[SpanContext]] = []
@@ -91,8 +87,7 @@ class Tracer:
         self._span_ids = IdFactory("span")
         self._dropped = _NullSpan()
         self._dropped.context = DROPPED_CONTEXT
-        if register:
-            clock.tracer = self
+        clock.tracer = self
 
     # -- span lifecycle -----------------------------------------------------
     def start_span(
@@ -200,9 +195,6 @@ class Tracer:
             span.attributes.update(attributes)
 
     # -- queries ------------------------------------------------------------
-    def get(self, span_id: str) -> Optional[Span]:
-        return self._by_id.get(span_id)
-
     def trace(self, trace_id: str) -> List[Span]:
         """All spans of one trace, in creation order."""
         return [s for s in self.spans if s.trace_id == trace_id]
@@ -310,23 +302,7 @@ class NullTracer:
     def annotate(self, **attributes: Any) -> None:
         pass
 
-    def get(self, span_id: str) -> None:
-        return None
-
-    def trace(self, trace_id: str) -> List[Span]:
-        return []
-
     def roots(self) -> List[Span]:
-        return []
-
-    def children(self, span_id: str) -> List[Span]:
-        return []
-
-    def find(self, kind: Optional[str] = None,
-             name_prefix: str = "") -> List[Span]:
-        return []
-
-    def subtree(self, span_id: str) -> List[Span]:
         return []
 
     def span_tree(self, trace_id: str) -> List[Dict[str, Any]]:

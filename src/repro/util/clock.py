@@ -81,10 +81,6 @@ class EventHandle:
                 self._clock._note_cancelled()
 
     @property
-    def time(self) -> float:
-        return self._event.time
-
-    @property
     def cancelled(self) -> bool:
         return self._event.cancelled
 

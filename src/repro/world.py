@@ -10,13 +10,12 @@ it — the equivalent of "the internet plus four allocations" in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.actions.engine import Engine, EngineServices
 from repro.actions.runner import RunnerPool
 from repro.auth.identity import Identity, IdentityProvider
 from repro.auth.oauth import AuthService
-from repro.auth.policies import HighAssurancePolicy
 from repro.containers.registry import ContainerRegistry
 from repro.core.action import publish_correct
 from repro.envs.stdlib import standard_index
@@ -43,7 +42,6 @@ from repro.telemetry import (
     Tracer,
     default_slo_pack,
 )
-from repro.telemetry.health import DEFAULT_HEALTH_WINDOW
 from repro.util.clock import SimClock
 from repro.util.events import EventLog
 
@@ -64,10 +62,8 @@ class World:
 
     def __init__(
         self,
-        start_time: float = 0.0,
         concurrent_jobs: bool = False,
         telemetry: bool = True,
-        span_sampler: Optional[Any] = None,
         faults: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[BreakerPolicy] = None,
@@ -77,21 +73,21 @@ class World:
         overload=None,
         hedge=None,
     ) -> None:
-        self.clock = SimClock(start_time)
+        self.clock = SimClock()
         self.events = EventLog()
         # Telemetry observes the world; it never advances the clock, so
         # experiment outputs are identical with it on or off. The tracer
         # registers itself on the clock (ambient access via tracer_of);
         # the metrics bridge derives instruments purely from EventLog
-        # subscriptions — no hot-path coupling.
-        # span_sampler (default: sample everything) trims span volume at
-        # scale without touching events or metrics.
+        # subscriptions — no hot-path coupling. The tracer samples every
+        # trace; assigning ``tracer.sampler`` trims span volume at scale
+        # without touching events or metrics.
         # streaming_metrics switches every registry histogram to fixed
         # buckets (bounded memory for million-task runs; figure
         # runs keep the exact default).
         histogram_bounds = DEFAULT_BOUNDS if streaming_metrics else None
         if telemetry:
-            self.tracer = Tracer(self.clock, sampler=span_sampler)
+            self.tracer = Tracer(self.clock)
             self.metrics = MetricsRegistry(histogram_bounds=histogram_bounds)
             self.telemetry_bridge = EventMetricsBridge(self.metrics, self.events)
         else:
@@ -152,7 +148,6 @@ class World:
         self,
         window: float = DEFAULT_WINDOW,
         rules=None,
-        health_window: float = DEFAULT_HEALTH_WINDOW,
         health_routing: bool = False,
     ) -> TimeSeriesStore:
         """Attach the continuous-observability plane to this world.
@@ -183,7 +178,7 @@ class World:
         if rules is None:
             rules = default_slo_pack(window)
         self.slo = SLOEngine(self.series, self.events, list(rules)).install()
-        self.health = HealthScorer(self.series, window=health_window)
+        self.health = HealthScorer(self.series)
         # the overload plane's AIMD limiter reads dispatch p95 from the
         # same store (no-op when the plane is off)
         self.faas.attach_overload_series(self.series)
@@ -269,10 +264,6 @@ class World:
             )
         return self.sites[name]
 
-    def add_site(self, site: Site) -> Site:
-        self.sites[site.name] = site
-        return site
-
     # -- people -------------------------------------------------------------------
     def register_user(
         self,
@@ -318,7 +309,6 @@ class World:
         self,
         site_name: str,
         templates: Optional[Dict[str, EndpointTemplate]] = None,
-        policy: Optional[HighAssurancePolicy] = None,
         instance: str = "",
     ) -> MultiUserEndpoint:
         """Deploy and register a multi-user endpoint at a site.
@@ -330,7 +320,6 @@ class World:
             site=self.site(site_name),
             shell_services=self.shell_services(),
             templates=templates,
-            policy=policy,
             instance=instance,
         )
         self.faas.register_endpoint(mep)
@@ -341,25 +330,23 @@ class World:
         site_name: str,
         size: int,
         templates: Optional[Dict[str, EndpointTemplate]] = None,
-        policy: Optional[HighAssurancePolicy] = None,
-        pool_name: str = "",
     ) -> List[MultiUserEndpoint]:
         """Deploy ``size`` MEPs at a site and register them as a pool.
 
         The first member keeps the site's historical singleton endpoint
         id (instance ""), so a pool of one is byte-identical to a plain
-        :meth:`deploy_mep`. Tasks submitted to the pool name — or to the
-        site name — are routed by the FaaS service's placement policy.
+        :meth:`deploy_mep`. The pool is named after the site, and tasks
+        submitted to it are routed by the FaaS service's placement policy.
         """
         meps = [
             self.deploy_mep(
-                site_name, templates=templates, policy=policy,
+                site_name, templates=templates,
                 instance="" if i == 0 else f"pool-{i}",
             )
             for i in range(size)
         ]
         self.faas.register_pool(
-            pool_name or site_name, site=site_name,
+            site_name, site=site_name,
             members=[mep.endpoint_id for mep in meps],
         )
         return meps

@@ -179,6 +179,9 @@ INVALID_INPUTS = [
     (["obs", "fig4", "--slo", "error-rate=2"], "threshold"),
     (["obs", "fig4", "--slo", "p95-latency=nan"], "threshold"),
     (["obs", "fig4", "--slo", "p95-latency=inf"], "threshold"),
+    # fig5's plan is one deterministic test failure: no seed, no profile
+    (["chaos", "fig5", "--seed", "3"], "--seed"),
+    (["chaos", "fig5", "--profile", "walltime"], "--profile"),
 ]
 
 
@@ -194,3 +197,38 @@ def test_invalid_input_exits_two(argv, message, capsys):
     last = captured.err.splitlines()[-1]
     assert "error: " in last and message in last
     assert "Traceback" not in captured.err
+
+
+# one row per malformed suite block: where it goes in fig4.yaml, the
+# block, then a fragment of the error line
+BAD_SUITE_BLOCKS = [
+    ("series", "    timeout: abc\n", "timeout"),
+    ("series", "    timeout: -5\n", "timeout"),
+    ("series", "    retry: {max_attempts: 2}\n", "top-level retry"),
+    ("top", "retry: {bogus: 1}\n", "unknown keys"),
+    ("top", "retry: {base_delay: -1}\n", "base_delay"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, block, message",
+    BAD_SUITE_BLOCKS,
+    ids=[block.strip() for _, block, _ in BAD_SUITE_BLOCKS],
+)
+def test_suite_sweep_refuses_a_malformed_block(
+    where, block, message, tmp_path, capsys
+):
+    text = (repro.suites.suites_root() / "fig4.yaml").read_text(encoding="utf-8")
+    if where == "series":
+        anchor = '    target: "{site}"\n'
+        text = text.replace(anchor, anchor + block)
+    else:
+        text += block
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    argv = ["suite", "run", str(path), "--permute", "--profile", "flaky-endpoint"]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line

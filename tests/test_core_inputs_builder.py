@@ -68,6 +68,14 @@ class TestCorrectInputs:
         with pytest.raises(InputValidationError):
             CorrectInputs.from_step_inputs(bad)
 
+    @pytest.mark.parametrize("timeout", ["-5", "nan", "inf", "abc"])
+    def test_timeout_must_be_finite_and_non_negative(self, timeout):
+        with pytest.raises(InputValidationError, match="timeout"):
+            CorrectInputs.from_step_inputs(self._base(timeout=timeout))
+        assert CorrectInputs.from_step_inputs(
+            self._base(timeout="0")
+        ).timeout == 0.0
+
 
 class TestRenderYaml:
     def test_roundtrip_simple(self):

@@ -268,6 +268,22 @@ class TestTimeouts:
         )
         assert world.faas.resilience.summary()["timeouts"] == 0
 
+    @pytest.mark.parametrize(
+        "timeout", [-1.0, float("inf"), float("nan")], ids=["neg", "inf", "nan"]
+    )
+    def test_invalid_timeout_is_refused_before_the_task_exists(self, timeout):
+        world = make_world()
+        client, eid = cloud_endpoint(world)
+        fid = client.register_function(_quick, "quick")
+        with pytest.raises(ValueError, match="timeout must be a finite"):
+            client.submit(eid, fid, timeout=timeout)
+        # no future, live entry, endpoint load or lifecycle event is left
+        assert world.events.query("faas", "task.submitted") == []
+        assert world.faas.load(eid) == 0
+        _drain(world)
+        assert world.clock.now < float("inf")
+        assert client.submit(eid, fid).result() == 42
+
 
 class TestBreakersAndFailover:
     def _two_site_world(self, **kwargs):

@@ -73,12 +73,21 @@ def _fig4_rendered(result) -> str:
     return format_grouped_bars(groups) + "\n" + repr(waits)
 
 
+def _sampled(sampler):
+    """A ``world_setup`` hook that swaps the tracer's sampler."""
+
+    def setup(world) -> None:
+        world.tracer.sampler = sampler
+
+    return setup
+
+
 class TestSamplingIdentity:
     def test_fig4_output_identical_under_span_sampling(self):
         base = run_fig4(telemetry=True)
-        never = run_fig4(telemetry=True, span_sampler=NEVER_SAMPLER)
+        never = run_fig4(telemetry=True, world_setup=_sampled(NEVER_SAMPLER))
         ratio = run_fig4(
-            telemetry=True, span_sampler=RatioSampler(0.25, seed=11)
+            telemetry=True, world_setup=_sampled(RatioSampler(0.25, seed=11))
         )
         reference = _fig4_rendered(base)
         assert _fig4_rendered(never) == reference

@@ -15,7 +15,18 @@ from repro.suites import (
     run_sweep,
     suites_root,
 )
-from repro.suites.spec import ParseSpec
+from repro.suites.spec import ParseSpec, parse_suite
+
+FIG4_TEXT = (suites_root() / "fig4.yaml").read_text(encoding="utf-8")
+
+
+def _fig4_with(series: str = "", test: str = "", top: str = "") -> str:
+    """fig4.yaml with extra lines in its series, in its test and at top level."""
+    text = FIG4_TEXT.replace(
+        '    target: "{site}"\n', '    target: "{site}"\n' + series
+    )
+    text = text.replace("      command: pytest\n", "      command: pytest\n" + test)
+    return text + top
 
 
 class TestSpecLoading:
@@ -41,6 +52,46 @@ class TestSpecLoading:
             spec = load_suite(str(path))
             mat = materialize(spec)
             assert mat.instances, path.name
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("value", ["abc", "-5", "nan", "inf"])
+    def test_timeouts_must_be_finite_and_non_negative(self, value):
+        for text in (
+            _fig4_with(series=f"    timeout: {value}\n"),
+            _fig4_with(test=f"      timeout: {value}\n"),
+        ):
+            with pytest.raises(SuiteError, match="timeout"):
+                parse_suite(text)
+        spec = parse_suite(
+            _fig4_with(series="    timeout: 90\n", test="      timeout: 30\n")
+        )
+        assert spec.series["pytest"].timeout == 90.0
+        assert spec.series["pytest"].test.timeout == 30.0
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("{bogus: 1}", "unknown keys"),
+            ("{seed: 3}", "unknown keys"),
+            ("{base_delay: -1}", "base_delay"),
+            ("{max_delay: nan}", "max_delay"),
+            ("{multiplier: inf}", "multiplier"),
+            ("{jitter: abc}", "jitter"),
+            ("{max_attempts: 0}", "max_attempts"),
+            ("{max_attempts: 2.5}", "max_attempts"),
+            ("[1, 2]", "mapping"),
+        ],
+    )
+    def test_retry_block_is_checked_against_retry_policy(self, block, message):
+        with pytest.raises(SuiteError, match=message):
+            parse_suite(_fig4_with(top=f"retry: {block}\n"))
+        spec = parse_suite(_fig4_with(top="retry: {max_attempts: 5, base_delay: 5}\n"))
+        assert spec.retry == {"max_attempts": 5, "base_delay": 5}
+
+    def test_series_level_retry_is_refused(self):
+        with pytest.raises(SuiteError, match="top-level retry"):
+            parse_suite(_fig4_with(series="    retry: {max_attempts: 2}\n"))
 
 
 class TestExpansion:
