@@ -1,99 +1,57 @@
 """Structured event log shared by all subsystems.
 
 Every significant state change (workflow triggered, task submitted, job
-started, secret accessed...) is appended to an :class:`EventLog`. The log is
-the backbone of provenance capture: a CORRECT run's provenance record is a
-filtered view of these events, and the telemetry layer's metrics are
-derived entirely from subscriptions to it.
+started, secret accessed...) is appended to an :class:`EventLog`. The
+telemetry layer's metrics are derived entirely from subscriptions to it,
+and the durability journal is a filtered view of it, kept by a
+subscriber.
 
-The log is also on the engine's hottest path — a million-task run emits
-several million events — so it is built to be queried without scanning:
-emission maintains per-``source``, per-``kind``, and per-``(source,
-kind)`` indexes (plain lists in emission order, so filtered views cost
-O(matches) instead of O(all events)), plus a last-seen event per kind.
-:meth:`emit` itself allocates one slotted :class:`Event` and nothing
-else: the keyword payload is adopted as-is, never copied.
+The log is also on the engine's hottest path — every lifecycle step of
+every task emits — while a run reads it back only rarely and after the
+fact. So it is one append-only list: :meth:`emit` allocates one
+:class:`Event` tuple and nothing else (the keyword payload is adopted
+as-is, never copied), and :meth:`query`, :meth:`last` and
+:meth:`replay_to` scan that list.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 
-@functools.total_ordering
-class Event:
+class Event(NamedTuple):
     """One immutable log entry.
 
     Attributes
     ----------
     time:
         Virtual time at which the event occurred.
+    seq:
+        Emission sequence number, assigned by the log and unique within
+        it. Tuple order is therefore ``(time, seq)``: events emitted at
+        the same virtual timestamp are totally ordered by emission, so
+        trace assembly and sorted views are deterministic rather than
+        relying on list-append accident.
     source:
         Subsystem that emitted it (``"actions"``, ``"faas"``, ``"slurm"``...).
     kind:
         Machine-readable event name (``"task.submitted"``...).
     data:
         Arbitrary JSON-like payload.
-    seq:
-        Monotonic emission sequence number, assigned by the log. Events
-        emitted at the same virtual timestamp are totally ordered by
-        ``seq``, so trace assembly and sorted queries are deterministic
-        rather than relying on list-append accident.
     """
 
-    __slots__ = ("time", "source", "kind", "data", "seq")
-
-    def __init__(
-        self,
-        time: float,
-        source: str,
-        kind: str,
-        data: Optional[Dict[str, Any]] = None,
-        seq: int = 0,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "time", time)
-        _set(self, "source", source)
-        _set(self, "kind", kind)
-        _set(self, "data", data if data is not None else {})
-        _set(self, "seq", seq)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"Event is immutable (tried to set {name!r})")
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.time, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (
-            self.time == other.time
-            and self.source == other.source
-            and self.kind == other.kind
-            and self.seq == other.seq
-            and self.data == other.data
-        )
-
-    def __lt__(self, other: "Event") -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key < other.sort_key
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(t={self.time:.3f}, {self.source}/{self.kind}, "
-            f"seq={self.seq})"
-        )
+    time: float
+    seq: int
+    source: str
+    kind: str
+    data: Dict[str, Any]
 
 
 class EventLog:
-    """Append-only event log with subscription and indexed queries.
+    """Append-only event log with subscription and filtered queries.
 
     Subscriber callbacks are isolated: one raising does not abort
     delivery to the others, nor does the error propagate into the
@@ -105,36 +63,6 @@ class EventLog:
         self._events: List[Event] = []
         self._subscribers: List[Callable[[Event], None]] = []
         self._seq = 0
-        # emission-ordered index lists; query() picks the narrowest
-        self._by_source: Dict[str, List[Event]] = {}
-        self._by_kind: Dict[str, List[Event]] = {}
-        self._by_source_kind: Dict[Tuple[str, str], List[Event]] = {}
-        self._last_by_kind: Dict[str, Event] = {}
-        # (source, kind) -> the three index lists above, resolved once:
-        # steady-state appends then cost one dict hit instead of three
-        self._index_lists: Dict[Tuple[str, str], tuple] = {}
-
-    def _append(self, event: Event) -> None:
-        """Record ``event`` and keep every index current."""
-        self._events.append(event)
-        source, kind = event.source, event.kind
-        pair = (source, kind)
-        lists = self._index_lists.get(pair)
-        if lists is None:
-            by_source = self._by_source.get(source)
-            if by_source is None:
-                by_source = self._by_source[source] = []
-            by_kind = self._by_kind.get(kind)
-            if by_kind is None:
-                by_kind = self._by_kind[kind] = []
-            by_pair = self._by_source_kind.get(pair)
-            if by_pair is None:
-                by_pair = self._by_source_kind[pair] = []
-            lists = self._index_lists[pair] = (by_source, by_kind, by_pair)
-        lists[0].append(event)
-        lists[1].append(event)
-        lists[2].append(event)
-        self._last_by_kind[kind] = event
 
     def emit(self, time: float, source: str, kind: str, **data: Any) -> Event:
         """Record an event and notify subscribers.
@@ -146,8 +74,8 @@ class EventLog:
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, source, kind, data, seq)
-        self._append(event)
+        event = Event(time, seq, source, kind, data)
+        self._events.append(event)
         if self._subscribers:
             self._deliver(event, record_errors=True)
         return event
@@ -173,17 +101,14 @@ class EventLog:
         seq = self._seq
         self._seq = seq + 1
         error_event = Event(
-            time=event.time,
-            source="telemetry",
-            kind="subscriber_error",
-            data={
+            event.time, seq, "telemetry", "subscriber_error",
+            {
                 "subscriber": getattr(sub, "__qualname__", repr(sub)),
                 "error": f"{type(exc).__name__}: {exc}",
                 "during": f"{event.source}/{event.kind}",
             },
-            seq=seq,
         )
-        self._append(error_event)
+        self._events.append(error_event)
         self._deliver(error_event, record_errors=False)
 
     def replay_to(
@@ -201,7 +126,7 @@ class EventLog:
         error isolation as live delivery. Returns the number delivered.
         """
         delivered = 0
-        for event in list(self._candidates(source, kind)):
+        for event in self.query(source, kind):
             delivered += 1
             try:
                 callback(event)
@@ -219,22 +144,6 @@ class EventLog:
 
         return unsubscribe
 
-    def _candidates(
-        self, source: Optional[str], kind: Optional[str]
-    ) -> List[Event]:
-        """The narrowest index list covering the filters (emission order).
-
-        May be an internal index list — callers must not mutate it, and
-        must copy before returning it to user code.
-        """
-        if source is not None and kind is not None:
-            return self._by_source_kind.get((source, kind), [])
-        if source is not None:
-            return self._by_source.get(source, [])
-        if kind is not None:
-            return self._by_kind.get(kind, [])
-        return self._events
-
     def query(
         self,
         source: Optional[str] = None,
@@ -244,15 +153,16 @@ class EventLog:
     ) -> List[Event]:
         """Return events matching all provided filters, in emission order.
 
-        Indexed: a ``source``/``kind`` filter walks only the matching
-        events, not the whole log. The time window still filters linearly
-        *within* the candidate list — event times are not monotone (a
-        measured region rewinds the clock), so no bisection is possible.
+        A fresh list, scanned from the whole log. Event times are not
+        monotone (a measured region rewinds the clock), so the time
+        window is a filter like the others, not a bisection.
         """
-        candidates = self._candidates(source, kind)
-        if since == _NEG_INF and until == _POS_INF:
-            return list(candidates)
-        return [e for e in candidates if since <= e.time <= until]
+        return [
+            e for e in self._events
+            if (source is None or e.source == source)
+            and (kind is None or e.kind == kind)
+            and since <= e.time <= until
+        ]
 
     def __len__(self) -> int:
         return len(self._events)
@@ -261,7 +171,8 @@ class EventLog:
         return iter(self._events)
 
     def last(self, kind: Optional[str] = None) -> Optional[Event]:
-        """Most recent event, optionally restricted to one kind. O(1)."""
-        if kind is None:
-            return self._events[-1] if self._events else None
-        return self._last_by_kind.get(kind)
+        """Most recent event, optionally restricted to one kind."""
+        for event in reversed(self._events):
+            if kind is None or event.kind == kind:
+                return event
+        return None

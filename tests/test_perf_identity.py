@@ -1,10 +1,8 @@
 """Byte-identity guarantees of the performance refactor.
 
-The perf work (journal write batching, span sampling, indexed event
-queries) must be invisible to every default-policy output: batched
-journals produce byte-identical stores, sampled-out telemetry never
-changes figure text, and indexed queries return exactly what a naive
-scan would.
+The perf work (journal write batching, span sampling) must be invisible
+to every default-policy output: batched journals produce byte-identical
+stores, and sampled-out telemetry never changes figure text.
 """
 
 from repro.durability.journal import Journal, JsonlJournalStore

@@ -401,7 +401,7 @@ _event_entries = st.lists(
 
 
 class TestEventLogQueryProperties:
-    """The indexed query paths must agree exactly with a naive scan."""
+    """The query paths must agree exactly with a naive scan."""
 
     @given(
         entries=_event_entries,
@@ -428,7 +428,7 @@ class TestEventLogQueryProperties:
             and since <= e.time <= until
         ]
         assert log.query(source, kind, since=since, until=until) == naive
-        # no time window: pure index walk
+        # no time window
         naive_all = [
             e for e in log
             if (source is None or e.source == source)
