@@ -24,13 +24,13 @@ from repro.experiments.fig4_parsldock import FIG4_SITES
 from repro.experiments.fig5_psij import Fig5Result, run_fig5
 from repro.faults.plan import FaultPlan
 from repro.faults.profiles import (
-    CHAOS_RETRY,
     DOWN_SITE,
     FLAKY_SITE,
     build_profile,
+    profiled_retry,
 )
-from repro.faults.resilience import BreakerPolicy, RetryPolicy
-from repro.suites import SuiteRun, run_suite
+from repro.faults.resilience import BreakerPolicy
+from repro.suites import SuiteRun, load_suite, run_suite
 
 # a breaker every chaos run shares: it opens fast enough for the
 # hard-down site to trip it within one task's CHAOS_RETRY budget
@@ -78,17 +78,19 @@ def run_suite_chaos(
     exhausts its retry budget, trips its breaker, and its job fails —
     the run reports partial results per instance with the skip reason,
     and never raises out of the harness. Faults are armed *after* setup,
-    so fault times mean "virtual seconds into the CI run".
+    so fault times mean "virtual seconds into the CI run". The suite's
+    own ``retry:`` block, if any, replaces the chaos retry policy.
     """
+    spec = load_suite(suite)
     plan = build_profile(profile, seed)
     return run_suite(
-        suite,
+        spec,
         overrides=overrides,
         telemetry=telemetry,
         world_setup=world_setup,
         faults=plan,
         arm_faults="after-setup",
-        retry_policy=RetryPolicy(seed=seed, **CHAOS_RETRY),
+        retry_policy=profiled_retry(seed, spec.retry),
         breaker=CHAOS_BREAKER,
         # offline endpoints reject at dispatch (retryably), not at the
         # cloud's front door — the degraded path instead of a crash

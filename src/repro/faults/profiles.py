@@ -13,7 +13,7 @@ the profile which site is "victim" and which is "hard-down".
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.faults.plan import (
     EndpointOutage,
@@ -24,6 +24,7 @@ from repro.faults.plan import (
     TaskError,
     WalltimeKill,
 )
+from repro.faults.resilience import RetryPolicy
 
 # the Fig. 4 role assignment every profile shares: one site flaps, one
 # site (optionally) goes down hard, the rest stay healthy
@@ -195,12 +196,21 @@ PROFILES: Dict[str, Callable[[int], FaultPlan]] = {
 # profile names meaning "no faults": the run arms no fault plan
 FAULT_FREE_PROFILES = ("none", "off")
 
-# the retry policy every profiled run shares (the chaos harness and suite
-# sweeps): enough attempts to ride out a short outage window
+# the retry policy of a profiled run whose suite declares none (the chaos
+# harness and suite sweeps): enough attempts to ride out a short outage
 CHAOS_RETRY = dict(
     max_attempts=5, base_delay=5.0, multiplier=2.0, max_delay=120.0,
     jitter=0.1,
 )
+
+
+def profiled_retry(seed: int, suite_retry: Dict[str, Any]) -> RetryPolicy:
+    """The retry policy of a suite run under a fault profile.
+
+    The suite's top-level ``retry:`` block, when it has one, replaces
+    :data:`CHAOS_RETRY` as a whole; either way the run's seed seeds it.
+    """
+    return RetryPolicy(seed=seed, **(suite_retry or CHAOS_RETRY))
 
 
 def build_profile(name: str, seed: int) -> Optional[FaultPlan]:

@@ -24,7 +24,7 @@ The schema (all strings may reference series variables with ``{name}``):
     containers:                       # optional container publication
       image: repro.apps.kamping.artifacts:kamping_image
       commands: repro.apps.kamping.artifacts:register_artifact_commands
-    retry:                            # optional; sweeps under a fault profile
+    retry:                            # optional; runs under a fault profile
       max_attempts: 5                 # integer >= 1
       base_delay: 5.0                 # multiplier, max_delay, jitter too;
                                       # every number finite and >= 0
@@ -64,7 +64,7 @@ from repro.errors import ReproError, YamliteError
 from repro.faults.resilience import RetryPolicy
 from repro.util import yamlite
 
-# the keys a suite's ``retry:`` block may set: the sweep seeds the
+# the keys a suite's ``retry:`` block may set: a profiled run seeds the
 # policy from its own ``--seed``
 _RETRY_KEYS = tuple(f.name for f in fields(RetryPolicy) if f.name != "seed")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.faults.profiles import CHAOS_RETRY, build_profile
+from repro.faults.profiles import build_profile, profiled_retry
 from repro.suites.parsers import make_parser
 from repro.suites.runner import InstanceResult, PreparedSuite, prepare_suite
 from repro.suites.spec import SuiteSpec, load_suite
@@ -79,20 +79,15 @@ def run_sweep(
 
     spec = load_suite(spec)
     plan = build_profile(profile, seed)
-    retry_policy = None
-    if plan is not None:
-        from repro.faults.resilience import RetryPolicy
-
-        # a suite's top-level ``retry:`` block overrides the chaos default
-        retry_policy = RetryPolicy(seed=seed, **(spec.retry or CHAOS_RETRY))
-
     prepared = prepare_suite(
         spec,
         overrides=overrides,
         telemetry=telemetry,
         faults=plan,
         arm_faults="after-setup" if plan is not None else "none",
-        retry_policy=retry_policy,
+        retry_policy=(
+            profiled_retry(seed, spec.retry) if plan is not None else None
+        ),
         offline_policy="queue" if plan is not None else "raise",
         placement_policy=policy,
         pool_size=pool_size,

@@ -4,6 +4,7 @@ reports rely on."""
 
 import pytest
 
+from repro.experiments.chaos import run_suite_chaos
 from repro.suites import (
     SuiteError,
     expand_instances,
@@ -224,3 +225,20 @@ class TestSweepDeterminism:
         assert all(
             r.status == "ok" for r in sweep.results if not r.instance.skipped
         )
+
+
+class TestProfiledRetry:
+    """A suite's top-level ``retry:`` block replaces the chaos retry policy
+    on both profiled paths: the CI engine (``suite run --profile``) and
+    the direct-FaaS sweep (``--permute``)."""
+
+    @pytest.mark.parametrize(
+        "run", [run_suite_chaos, run_sweep], ids=["engine", "sweep"]
+    )
+    def test_retry_block_replaces_the_chaos_default(self, run):
+        spec = parse_suite(
+            _fig4_with(top="retry: {max_attempts: 1, base_delay: 0}\n")
+        )
+        result = run(spec, seed=7, profile="flaky-endpoint")
+        assert result.world.faas.retry_policy.max_attempts == 1
+        assert result.world.events.query("faas", "task.retry") == []
