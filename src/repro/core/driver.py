@@ -99,7 +99,7 @@ def execute_correct_async(
                 cwd=inputs.cwd or clone_path,
                 conda_env=inputs.conda_env,
                 template=inputs.template,
-                timeout=inputs.timeout or None,
+                timeout=inputs.timeout,
                 route=route,
             )
 
@@ -135,7 +135,7 @@ def execute_correct_async(
             inputs.function_uuid,
             *inputs.function_args,
             template=inputs.template,
-            timeout=inputs.timeout or None,
+            timeout=inputs.timeout,
             route=route,
         )
 

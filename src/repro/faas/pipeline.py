@@ -190,7 +190,7 @@ class TimeoutInterceptor:
         self.service = service
 
     def on_accepted(self, entry, timeout: Optional[float]) -> None:
-        if timeout is None:
+        if not timeout:  # None or 0: no deadline
             return
         self.service.clock.call_after(
             timeout, lambda: self._deadline_fired(entry, timeout)

@@ -409,9 +409,10 @@ class FaaSService:
         fallback or raises :class:`CircuitOpen`; ``timeout`` bounds the
         task's total virtual-time lifetime, retries included, and must be
         a finite number of seconds >= 0 (checked before anything about
-        the task is recorded). ``priority`` is the overload-plane
-        shedding class (0 = critical, higher is cheaper to shed; ignored
-        when the plane is off).
+        the task is recorded); ``None`` or 0 means no deadline, as it does
+        in :class:`~repro.core.inputs.CorrectInputs` and suite files.
+        ``priority`` is the overload-plane shedding class (0 = critical,
+        higher is cheaper to shed; ignored when the plane is off).
         """
         if timeout is not None and not (
             isinstance(timeout, (int, float)) and 0 <= timeout < math.inf

@@ -268,6 +268,13 @@ class TestTimeouts:
         )
         assert world.faas.resilience.summary()["timeouts"] == 0
 
+    def test_zero_timeout_means_no_deadline(self):
+        world = make_world()
+        client, eid = cloud_endpoint(world)
+        fid = client.register_function(_slow, "slow")
+        assert client.submit(eid, fid, timeout=0).result() == "slow done"
+        assert world.events.query("faas", "task.timeout") == []
+
     @pytest.mark.parametrize(
         "timeout", [-1.0, float("inf"), float("nan")], ids=["neg", "inf", "nan"]
     )
