@@ -14,7 +14,7 @@ were already dead at the crash (see ``ReplayIndex.dead_endpoints``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.util.clock import EventHandle, SimClock
 from repro.util.events import EventLog
@@ -55,7 +55,6 @@ class LeaseRegistry:
         self.on_expire = on_expire
         self._leases: Dict[str, Lease] = {}
         self._checks: Dict[str, EventHandle] = {}
-        self.expired_ids: List[str] = []
 
     def lease(self, endpoint_id: str) -> Optional[Lease]:
         return self._leases.get(endpoint_id)
@@ -125,7 +124,6 @@ class LeaseRegistry:
             return
         self._checks.pop(endpoint_id, None)
         self._leases.pop(endpoint_id, None)
-        self.expired_ids.append(endpoint_id)
         self.events.emit(
             now, "durability", "lease.expired",
             endpoint=endpoint_id,

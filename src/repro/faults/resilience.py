@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import is_retryable
 
@@ -88,20 +88,12 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half_open"
 
-    def __init__(self, policy: BreakerPolicy, name: str = "") -> None:
+    def __init__(self, policy: BreakerPolicy) -> None:
         self.policy = policy
-        self.name = name
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
         self.trips = 0  # times the breaker went closed/half-open -> open
-        self.transitions: List[Dict] = []  # (time, from, to) audit trail
-
-    def _transition(self, state: str, now: float) -> None:
-        self.transitions.append(
-            {"time": now, "from": self.state, "to": state}
-        )
-        self.state = state
 
     def allow(self, now: float) -> bool:
         """May a dispatch proceed at virtual time ``now``?
@@ -112,7 +104,7 @@ class CircuitBreaker:
         if self.state == self.OPEN:
             assert self.opened_at is not None
             if now - self.opened_at >= self.policy.reset_timeout:
-                self._transition(self.HALF_OPEN, now)
+                self.state = self.HALF_OPEN
                 return True
             return False
         return True
@@ -120,7 +112,7 @@ class CircuitBreaker:
     def record_success(self, now: float) -> None:
         self.consecutive_failures = 0
         if self.state != self.CLOSED:
-            self._transition(self.CLOSED, now)
+            self.state = self.CLOSED
             self.opened_at = None
 
     def record_failure(self, now: float) -> bool:
@@ -128,7 +120,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if self.state == self.HALF_OPEN:
             # the probe failed: straight back to open, fresh window
-            self._transition(self.OPEN, now)
+            self.state = self.OPEN
             self.opened_at = now
             self.trips += 1
             return True
@@ -136,7 +128,7 @@ class CircuitBreaker:
             self.state == self.CLOSED
             and self.consecutive_failures >= self.policy.failure_threshold
         ):
-            self._transition(self.OPEN, now)
+            self.state = self.OPEN
             self.opened_at = now
             self.trips += 1
             return True
@@ -144,7 +136,6 @@ class CircuitBreaker:
 
     def snapshot(self) -> Dict:
         return {
-            "name": self.name,
             "state": self.state,
             "consecutive_failures": self.consecutive_failures,
             "trips": self.trips,

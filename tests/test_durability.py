@@ -286,7 +286,6 @@ class TestLeaseRegistry:
         clock.run_until(20.0)  # renewed_at=6 + ttl=10 -> expires at 16
         assert not registry.active("ep-1")
         assert expired == ["ep-1"]
-        assert registry.expired_ids == ["ep-1"]
         kinds = [e.kind for e in events if e.kind.startswith("lease.")]
         assert kinds == ["lease.granted", "lease.renewed", "lease.expired"]
 
@@ -306,7 +305,6 @@ class TestLeaseRegistry:
         registry.revoke("ep-1")
         clock.run_until(100.0)
         assert expired == []
-        assert registry.expired_ids == []
 
     def test_expiry_fires_once_per_lease(self):
         expired = []
