@@ -71,8 +71,6 @@ from repro.telemetry.timeseries import (
 from repro.telemetry.sampling import (
     ALWAYS_SAMPLER,
     NEVER_SAMPLER,
-    AlwaysSampler,
-    NeverSampler,
     RatioSampler,
 )
 from repro.telemetry.span import DROPPED_CONTEXT, Span, SpanContext
@@ -81,7 +79,6 @@ from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer, tracer_of
 __all__ = [
     "ALWAYS_SAMPLER",
     "AlertRule",
-    "AlwaysSampler",
     "BucketHistogram",
     "Counter",
     "CounterSeries",
@@ -97,7 +94,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NEVER_SAMPLER",
-    "NeverSampler",
     "NULL_TRACER",
     "NullTracer",
     "Objective",

@@ -4,8 +4,10 @@ The tracer consults a sampling policy once per *root* span; a sampled-out
 root returns the inert null span carrying the :data:`DROPPED_CONTEXT`
 sentinel, and every descendant started under that context is dropped too
 — the whole subtree costs zero allocations. Default is
-:class:`AlwaysSampler`, which preserves the historical behaviour (and
-byte-identical experiment outputs) exactly.
+:data:`ALWAYS_SAMPLER` (rate 1), which preserves the historical
+behaviour (and byte-identical experiment outputs) exactly;
+:data:`NEVER_SAMPLER` (rate 0) runs "telemetry wired but off":
+subscribers and metrics still see events, span trees are empty.
 
 Sampling decisions are deterministic: :class:`RatioSampler` hashes a
 seed, the root span's name, and a per-sampler decision counter, so two
@@ -19,28 +21,6 @@ import hashlib
 
 # denominator for mapping an 8-byte digest prefix onto [0, 1)
 _SCALE = float(1 << 64)
-
-
-class AlwaysSampler:
-    """Sample every trace root (the default; zero behavioral change)."""
-
-    rate = 1.0
-
-    def sample(self, name: str) -> bool:
-        return True
-
-
-class NeverSampler:
-    """Drop every trace root: tracer attached, no spans materialized.
-
-    The cheapest way to run "telemetry wired but off" — subscribers and
-    metrics still see events; span trees are empty.
-    """
-
-    rate = 0.0
-
-    def sample(self, name: str) -> bool:
-        return False
 
 
 class RatioSampler:
@@ -68,5 +48,5 @@ class RatioSampler:
         return int.from_bytes(digest[:8], "big") / _SCALE < self.rate
 
 
-ALWAYS_SAMPLER = AlwaysSampler()
-NEVER_SAMPLER = NeverSampler()
+ALWAYS_SAMPLER = RatioSampler(1.0)
+NEVER_SAMPLER = RatioSampler(0.0)
