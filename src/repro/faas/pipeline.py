@@ -121,7 +121,7 @@ class BreakerInterceptor:
             return
         if error is None:
             before = breaker.state
-            breaker.record_success(now)
+            breaker.record_success()
             if before != breaker.state:
                 self.service.events.emit(
                     now, "faas", "breaker.close", endpoint=task.endpoint_id

@@ -109,7 +109,7 @@ class CircuitBreaker:
             return False
         return True
 
-    def record_success(self, now: float) -> None:
+    def record_success(self) -> None:
         self.consecutive_failures = 0
         if self.state != self.CLOSED:
             self.state = self.CLOSED

@@ -106,7 +106,7 @@ class TestCircuitBreaker:
     def test_success_resets_the_streak(self):
         breaker = CircuitBreaker(BreakerPolicy(failure_threshold=2))
         breaker.record_failure(1.0)
-        breaker.record_success(2.0)
+        breaker.record_success()
         assert not breaker.record_failure(3.0)
         assert breaker.state == CircuitBreaker.CLOSED
 
@@ -117,7 +117,7 @@ class TestCircuitBreaker:
         assert not breaker.allow(50.0)  # window still open
         assert breaker.allow(100.0)  # admitted as the probe
         assert breaker.state == CircuitBreaker.HALF_OPEN
-        breaker.record_success(101.0)
+        breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
         # and the failing-probe path re-opens with a fresh window
         breaker.record_failure(102.0)
