@@ -79,7 +79,7 @@ def _test_slurm_roundtrip(ctx: SuiteContext) -> None:
     site = ctx.handle.site
     if not site.has_scheduler:
         return  # cloud VM: nothing to test, matches upstream skip behaviour
-    partition = next(iter(site.scheduler._partitions))
+    partition = site.scheduler.default_partition.name
     executor = SlurmJobExecutor(ctx.handle, partition)
     job = PsiJJob(
         JobSpec(executable="true", work=2.0, duration=60.0,
@@ -94,7 +94,7 @@ def _test_slurm_cancel(ctx: SuiteContext) -> None:
     site = ctx.handle.site
     if not site.has_scheduler:
         return
-    partition = next(iter(site.scheduler._partitions))
+    partition = site.scheduler.default_partition.name
     executor = SlurmJobExecutor(ctx.handle, partition)
     job = PsiJJob(JobSpec(executable="true", work=500.0, duration=600.0))
     executor.submit(job)

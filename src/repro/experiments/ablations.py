@@ -66,8 +66,7 @@ def overhead_ablation(n_tasks: int = 6) -> OverheadResult:
     world = World()
     world.register_user("ops", {"faster": "x-ops"})
     site = world.site("faster")
-    partition = common.SITE_PARTITIONS["faster"]
-    assert partition is not None
+    partition = site.scheduler.default_partition.name
 
     def run_task(executor: PilotExecutor) -> float:
         start = world.clock.now

@@ -9,14 +9,6 @@ from repro.core.security import sole_reviewer_rules
 from repro.faas.endpoint import EndpointTemplate, MultiUserEndpoint
 from repro.world import World, WorldUser
 
-# the compute partition name for each batch site in the catalog
-SITE_PARTITIONS: Dict[str, Optional[str]] = {
-    "chameleon": None,  # cloud VM: no scheduler
-    "faster": "normal",
-    "expanse": "compute",
-    "anvil": "shared",
-}
-
 # §6.1's docking stack, installed via Conda on every site
 DOCKING_STACK: Dict[str, str] = {
     "parsldock": "*",
@@ -96,10 +88,16 @@ def provision_user_site(
 
 
 def _site_templates(
-    site_name: str, login_only: bool, walltime: float, nodes: int
+    world: World, site_name: str, login_only: bool, walltime: float, nodes: int
 ) -> Dict[str, EndpointTemplate]:
-    """The paper's per-site MEP template, keyed as ``"default"``."""
-    partition = None if login_only else SITE_PARTITIONS[site_name]
+    """The paper's per-site MEP template, keyed as ``"default"``: tests
+    run in the site's default Slurm partition, or on the login node
+    where it has no scheduler or ``login_only`` asks for it."""
+    scheduler = world.site(site_name).scheduler
+    partition = (
+        None if login_only or scheduler is None
+        else scheduler.default_partition.name
+    )
     return {"default": EndpointTemplate(
         name="default",
         compute_partition=partition,
@@ -126,7 +124,7 @@ def deploy_site_mep(
     """
     return world.deploy_mep(
         site_name,
-        templates=_site_templates(site_name, login_only, walltime, nodes),
+        templates=_site_templates(world, site_name, login_only, walltime, nodes),
     )
 
 
@@ -147,7 +145,7 @@ def deploy_site_mep_pool(
     """
     return world.deploy_mep_pool(
         site_name, size,
-        templates=_site_templates(site_name, login_only, walltime, nodes),
+        templates=_site_templates(world, site_name, login_only, walltime, nodes),
     )
 
 

@@ -179,7 +179,13 @@ class SlurmScheduler:
             self.clock.run_until(nxt)
         return job
 
-    # -- utilization ---------------------------------------------------------
+    # -- partitions and utilization -------------------------------------------
+    @property
+    def default_partition(self) -> Partition:
+        """Slurm's default partition: the first one the scheduler was
+        built with."""
+        return next(iter(self._partitions.values()))
+
     def free_nodes(self, partition_name: str) -> List[Node]:
         partition = self._partitions[partition_name]
         busy = self._busy_nodes[partition_name]

@@ -505,7 +505,7 @@ def cmd_sbatch(session, args: List[str]) -> CommandResult:
     if not script_parts:
         return CommandResult.failure("sbatch: no script given")
     if partition is None:
-        partition = next(iter(scheduler._partitions))
+        partition = scheduler.default_partition.name
     try:
         duration = float(walltime) if walltime else 60.0
     except ValueError:

@@ -5,23 +5,17 @@ login and compute nodes, a batch scheduler, filesystems (home + scratch),
 network policy (which node classes may reach the internet), a hardware
 performance model, container runtimes, and per-user conda installations.
 
-:mod:`repro.sites.catalog` instantiates the four systems from the paper's
-evaluation: Chameleon CHI@TACC (IceLake), TAMU FASTER, SDSC Expanse, and
-Purdue Anvil.
+:mod:`repro.sites.catalog` describes the four systems from the paper's
+evaluation in one table, ``CATALOG``: Chameleon CHI@TACC (IceLake), TAMU
+FASTER, SDSC Expanse, and Purdue Anvil. :func:`make_site` builds a site
+from its entry.
 """
 
 from repro.sites.hardware import HardwareProfile
 from repro.sites.filesystem import SimFileSystem, Mount
 from repro.sites.network import NetworkPolicy
 from repro.sites.site import Site, NodeHandle
-from repro.sites.catalog import (
-    make_chameleon,
-    make_faster,
-    make_expanse,
-    make_anvil,
-    make_site,
-    SITE_BUILDERS,
-)
+from repro.sites.catalog import CATALOG, make_site
 
 __all__ = [
     "HardwareProfile",
@@ -30,10 +24,6 @@ __all__ = [
     "NetworkPolicy",
     "Site",
     "NodeHandle",
-    "make_chameleon",
-    "make_faster",
-    "make_expanse",
-    "make_anvil",
+    "CATALOG",
     "make_site",
-    "SITE_BUILDERS",
 ]

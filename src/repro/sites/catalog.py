@@ -1,7 +1,7 @@
 """Catalog of the paper's evaluation systems.
 
-Four builders produce :class:`~repro.sites.site.Site` instances modeled on
-the systems used in §6:
+``CATALOG`` describes the four systems of §6, one entry each, and
+:func:`make_site` builds a :class:`~repro.sites.site.Site` from an entry:
 
 * **Chameleon CHI@TACC IceLake** — a dedicated bare-metal cloud instance
   (Xeon Platinum 8380). No batch scheduler, full outbound internet, Docker
@@ -21,7 +21,7 @@ these processors; queue pressure is modeled with seeded background jobs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.containers.registry import ContainerRegistry
 from repro.envs.index import PackageIndex
@@ -35,11 +35,149 @@ from repro.telemetry import tracer_of
 from repro.util.clock import SimClock
 from repro.util.events import EventLog
 
+# every batch partition is modeled with this many nodes
+PARTITION_NODES = 16
 
-def _add_background_load(
-    site: Site, partition: str, stagger: float, waves: int = 30
-) -> None:
-    """Keep the partition saturated with synthetic production jobs.
+
+class Batch(NamedTuple):
+    """A site's Slurm partition. Its nodes take the compute profile's
+    cores, memory and speed; background jobs free one node every
+    ``stagger`` seconds."""
+
+    partition: str
+    node_prefix: str
+    max_walltime: float
+    stagger: float
+
+
+class SiteSpec(NamedTuple):
+    """One system of §6, as the simulation models it."""
+
+    login: HardwareProfile
+    login_count: int
+    network: NetworkPolicy
+    docker: bool = False
+    compute: Optional[HardwareProfile] = None
+    batch: Optional[Batch] = None
+    home_login_only: bool = False
+
+
+LOGIN = frozenset({"login"})
+LOGIN_AND_COMPUTE = frozenset({"login", "compute"})
+
+CATALOG: Dict[str, SiteSpec] = {
+    # Xeon Platinum 8380 bare metal; Docker, because it is the user's own
+    "chameleon": SiteSpec(
+        login=HardwareProfile(cpu_speed=1.35, cores_per_node=64,
+                              memory_gb=256, io_bandwidth=2.0,
+                              launch_overhead=0.3),
+        login_count=1,
+        network=NetworkPolicy(LOGIN, latency_to_cloud=0.02,
+                              clone_bandwidth_mbps=100.0),
+        docker=True,
+    ),
+    # Xeon 8352Y; compute nodes lack outbound internet, /home is login-only
+    "faster": SiteSpec(
+        login=HardwareProfile(cpu_speed=1.0, cores_per_node=32,
+                              memory_gb=128, launch_overhead=0.6),
+        login_count=2,
+        network=NetworkPolicy(LOGIN, latency_to_cloud=0.06,
+                              clone_bandwidth_mbps=40.0),
+        compute=HardwareProfile(cpu_speed=1.0, cores_per_node=64,
+                                memory_gb=256, io_bandwidth=1.5,
+                                launch_overhead=0.6),
+        batch=Batch("normal", "faster-c", 48 * 3600, stagger=150.0),
+        home_login_only=True,
+    ),
+    # EPYC 7742; FASTER's restrictions, slower single-core, busier queue
+    "expanse": SiteSpec(
+        login=HardwareProfile(cpu_speed=0.85, cores_per_node=32,
+                              memory_gb=128, launch_overhead=0.8),
+        login_count=2,
+        network=NetworkPolicy(LOGIN, latency_to_cloud=0.05,
+                              clone_bandwidth_mbps=40.0),
+        compute=HardwareProfile(cpu_speed=0.85, cores_per_node=128,
+                                memory_gb=256, io_bandwidth=1.2,
+                                launch_overhead=0.8),
+        batch=Batch("compute", "exp-c", 48 * 3600, stagger=240.0),
+        home_login_only=True,
+    ),
+    # EPYC Milan; PSI/J CI runs on its login nodes (§6.2)
+    "anvil": SiteSpec(
+        login=HardwareProfile(cpu_speed=0.95, cores_per_node=64,
+                              memory_gb=256, launch_overhead=0.7),
+        login_count=2,
+        network=NetworkPolicy(LOGIN_AND_COMPUTE, latency_to_cloud=0.05,
+                              clone_bandwidth_mbps=60.0),
+        compute=HardwareProfile(cpu_speed=0.95, cores_per_node=128,
+                                memory_gb=256, io_bandwidth=1.2,
+                                launch_overhead=0.7),
+        batch=Batch("shared", "anvil-c", 96 * 3600, stagger=180.0),
+    ),
+}
+
+
+def make_site(
+    name: str,
+    clock: SimClock,
+    package_index: Optional[PackageIndex] = None,
+    container_registries: Optional[List[ContainerRegistry]] = None,
+    events: Optional[EventLog] = None,
+    background_load: bool = True,
+) -> Site:
+    """Build a catalog site by name.
+
+    ``background_load`` keeps a batch site's partition saturated with
+    production jobs; it means nothing on a site without a scheduler.
+    """
+    try:
+        spec = CATALOG[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown site {name!r}; choices: {sorted(CATALOG)}"
+        ) from None
+    batch, compute = spec.batch, spec.compute
+    profiles = {"login": spec.login}
+    partitions = None
+    if batch is not None:
+        profiles["compute"] = compute
+        partitions = [Partition(
+            name=batch.partition,
+            nodes=make_nodes(batch.node_prefix, PARTITION_NODES,
+                             compute.cores_per_node, compute.memory_gb,
+                             speed=compute.cpu_speed),
+            max_walltime=batch.max_walltime,
+            default_walltime=3600,
+        )]
+    site = Site(
+        name=name,
+        clock=clock,
+        profiles=profiles,
+        login_count=spec.login_count,
+        partitions=partitions,
+        network=spec.network,
+        mounts=_login_only_home(name) if spec.home_login_only else None,
+        package_index=package_index,
+        container_registries=container_registries,
+        allow_privileged_daemon=spec.docker,
+        events=events,
+    )
+    if batch is not None and background_load:
+        _add_background_load(site, batch.stagger)
+    return site
+
+
+def _login_only_home(name: str) -> List[Mount]:
+    """FASTER/Expanse-style mounts: /home is login-only."""
+    return [
+        Mount("/home", SimFileSystem(f"{name}-home"), LOGIN),
+        Mount("/scratch", SimFileSystem(f"{name}-scratch"), LOGIN_AND_COMPUTE),
+        Mount("/tmp", SimFileSystem(f"{name}-tmp"), LOGIN_AND_COMPUTE),
+    ]
+
+
+def _add_background_load(site: Site, stagger: float, waves: int = 30) -> None:
+    """Keep the default partition saturated with synthetic production jobs.
 
     All nodes start busy with staggered end times, and every completed
     background job immediately resubmits a long follow-up, so in steady
@@ -51,7 +189,8 @@ def _add_background_load(
     """
     assert site.scheduler is not None
     scheduler = site.scheduler
-    nodes = scheduler._partitions[partition].node_count
+    partition = scheduler.default_partition.name
+    nodes = scheduler.default_partition.node_count
     cycle = stagger * nodes
     budget = {"remaining": nodes * waves}
 
@@ -88,207 +227,3 @@ def _add_background_load(
                 on_end=resubmit,
             )
         )
-
-
-def _hpc_mounts(name: str) -> List[Mount]:
-    """FASTER/Expanse-style mounts: /home is login-only."""
-    return [
-        Mount("/home", SimFileSystem(f"{name}-home"), frozenset({"login"})),
-        Mount(
-            "/scratch",
-            SimFileSystem(f"{name}-scratch"),
-            frozenset({"login", "compute"}),
-        ),
-        Mount(
-            "/tmp", SimFileSystem(f"{name}-tmp"), frozenset({"login", "compute"})
-        ),
-    ]
-
-
-def make_chameleon(
-    clock: SimClock,
-    package_index: Optional[PackageIndex] = None,
-    container_registries: Optional[List[ContainerRegistry]] = None,
-    events: Optional[EventLog] = None,
-    background_load: bool = True,  # unused: no scheduler
-) -> Site:
-    """Chameleon Cloud CHI@TACC IceLake bare-metal instance."""
-    profile = HardwareProfile(
-        cpu_speed=1.35,
-        cores_per_node=64,
-        memory_gb=256,
-        io_bandwidth=2.0,
-        launch_overhead=0.3,
-    )
-    return Site(
-        name="chameleon",
-        clock=clock,
-        profiles={"login": profile},
-        login_count=1,
-        partitions=None,
-        network=NetworkPolicy(
-            outbound_internet=frozenset({"login"}),
-            latency_to_cloud=0.02,
-            clone_bandwidth_mbps=100.0,
-        ),
-        package_index=package_index,
-        container_registries=container_registries,
-        allow_privileged_daemon=True,  # it is the user's own instance
-        events=events,
-    )
-
-
-def make_faster(
-    clock: SimClock,
-    package_index: Optional[PackageIndex] = None,
-    container_registries: Optional[List[ContainerRegistry]] = None,
-    events: Optional[EventLog] = None,
-    background_load: bool = True,
-) -> Site:
-    """TAMU FASTER: Xeon 8352Y; compute nodes lack outbound internet."""
-    login = HardwareProfile(
-        cpu_speed=1.0, cores_per_node=32, memory_gb=128, launch_overhead=0.6
-    )
-    compute = HardwareProfile(
-        cpu_speed=1.0,
-        cores_per_node=64,
-        memory_gb=256,
-        io_bandwidth=1.5,
-        launch_overhead=0.6,
-    )
-    partition = Partition(
-        name="normal",
-        nodes=make_nodes("faster-c", 16, 64, 256, speed=1.0),
-        max_walltime=48 * 3600,
-        default_walltime=3600,
-    )
-    site = Site(
-        name="faster",
-        clock=clock,
-        profiles={"login": login, "compute": compute},
-        login_count=2,
-        partitions=[partition],
-        network=NetworkPolicy(
-            outbound_internet=frozenset({"login"}),  # compute blocked
-            latency_to_cloud=0.06,
-            clone_bandwidth_mbps=40.0,
-        ),
-        mounts=_hpc_mounts("faster"),
-        package_index=package_index,
-        container_registries=container_registries,
-        allow_privileged_daemon=False,
-        events=events,
-    )
-    if background_load:
-        _add_background_load(site, "normal", stagger=150.0)
-    return site
-
-
-def make_expanse(
-    clock: SimClock,
-    package_index: Optional[PackageIndex] = None,
-    container_registries: Optional[List[ContainerRegistry]] = None,
-    events: Optional[EventLog] = None,
-    background_load: bool = True,
-) -> Site:
-    """SDSC Expanse: EPYC 7742; busier queue, slower single-core."""
-    login = HardwareProfile(
-        cpu_speed=0.85, cores_per_node=32, memory_gb=128, launch_overhead=0.8
-    )
-    compute = HardwareProfile(
-        cpu_speed=0.85,
-        cores_per_node=128,
-        memory_gb=256,
-        io_bandwidth=1.2,
-        launch_overhead=0.8,
-    )
-    partition = Partition(
-        name="compute",
-        nodes=make_nodes("exp-c", 16, 128, 256, speed=0.85),
-        max_walltime=48 * 3600,
-        default_walltime=3600,
-    )
-    site = Site(
-        name="expanse",
-        clock=clock,
-        profiles={"login": login, "compute": compute},
-        login_count=2,
-        partitions=[partition],
-        network=NetworkPolicy(
-            outbound_internet=frozenset({"login"}),  # compute blocked
-            latency_to_cloud=0.05,
-            clone_bandwidth_mbps=40.0,
-        ),
-        mounts=_hpc_mounts("expanse"),
-        package_index=package_index,
-        container_registries=container_registries,
-        allow_privileged_daemon=False,
-        events=events,
-    )
-    if background_load:
-        _add_background_load(site, "compute", stagger=240.0)
-    return site
-
-
-def make_anvil(
-    clock: SimClock,
-    package_index: Optional[PackageIndex] = None,
-    container_registries: Optional[List[ContainerRegistry]] = None,
-    events: Optional[EventLog] = None,
-    background_load: bool = True,
-) -> Site:
-    """Purdue Anvil: EPYC Milan. PSI/J CI runs on its login nodes (§6.2)."""
-    login = HardwareProfile(
-        cpu_speed=0.95, cores_per_node=64, memory_gb=256, launch_overhead=0.7
-    )
-    compute = HardwareProfile(
-        cpu_speed=0.95,
-        cores_per_node=128,
-        memory_gb=256,
-        io_bandwidth=1.2,
-        launch_overhead=0.7,
-    )
-    partition = Partition(
-        name="shared",
-        nodes=make_nodes("anvil-c", 16, 128, 256, speed=0.95),
-        max_walltime=96 * 3600,
-        default_walltime=3600,
-    )
-    site = Site(
-        name="anvil",
-        clock=clock,
-        profiles={"login": login, "compute": compute},
-        login_count=2,
-        partitions=[partition],
-        network=NetworkPolicy(
-            outbound_internet=frozenset({"login", "compute"}),
-            latency_to_cloud=0.05,
-            clone_bandwidth_mbps=60.0,
-        ),
-        package_index=package_index,
-        container_registries=container_registries,
-        allow_privileged_daemon=False,
-        events=events,
-    )
-    if background_load:
-        _add_background_load(site, "shared", stagger=180.0)
-    return site
-
-
-SITE_BUILDERS: Dict[str, Callable[..., Site]] = {
-    "chameleon": make_chameleon,
-    "faster": make_faster,
-    "expanse": make_expanse,
-    "anvil": make_anvil,
-}
-
-
-def make_site(name: str, clock: SimClock, **kwargs) -> Site:
-    """Build a catalog site by name."""
-    try:
-        builder = SITE_BUILDERS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown site {name!r}; choices: {sorted(SITE_BUILDERS)}"
-        ) from None
-    return builder(clock, **kwargs)

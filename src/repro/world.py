@@ -28,7 +28,7 @@ from repro.hub.archive import PermanentArchive
 from repro.hub.service import HubService
 from repro.provenance.store import ProvenanceStore
 from repro.shellsim.session import ShellServices
-from repro.sites.catalog import SITE_BUILDERS
+from repro.sites.catalog import make_site
 from repro.sites.site import Site
 from repro.telemetry import (
     DEFAULT_BOUNDS,
@@ -250,12 +250,8 @@ class World:
     def site(self, name: str, background_load: bool = True) -> Site:
         """Build (or return) a catalog site sharing this world's services."""
         if name not in self.sites:
-            builder = SITE_BUILDERS.get(name)
-            if builder is None:
-                raise ValueError(
-                    f"unknown site {name!r}; choices: {sorted(SITE_BUILDERS)}"
-                )
-            self.sites[name] = builder(
+            self.sites[name] = make_site(
+                name,
                 self.clock,
                 package_index=self.package_index,
                 container_registries=[self.container_registry],

@@ -211,9 +211,9 @@ class TestRunners:
 
     def test_self_hosted_registration(self, rig):
         clock, hub, pool, engine = rig
-        from repro.sites.catalog import make_anvil
+        from repro.sites.catalog import make_site
 
-        site = make_anvil(clock, background_load=False)
+        site = make_site("anvil", clock, background_load=False)
         site.add_account("svc")
         runner = pool.register_self_hosted(
             site.login_handle("svc"), labels=["anvil-login"]

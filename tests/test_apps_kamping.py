@@ -183,10 +183,10 @@ class TestArtifacts:
     def _session(self):
         from repro.envs.stdlib import standard_index
         from repro.shellsim.session import ShellSession
-        from repro.sites.catalog import make_chameleon
+        from repro.sites.catalog import make_site
         from repro.util.clock import SimClock
 
-        site = make_chameleon(SimClock(), package_index=standard_index())
+        site = make_site("chameleon", SimClock(), package_index=standard_index())
         site.add_account("cc")
         return ShellSession(site.login_handle("cc"))
 

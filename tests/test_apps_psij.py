@@ -13,14 +13,14 @@ from repro.apps.psij.executors import (
 from repro.apps.psij.jobspec import JobSpec, JobStatus, PsiJJob, ResourceSpec
 from repro.apps.psij.suite import PSIJ_SUITE
 from repro.envs.stdlib import standard_index
-from repro.sites.catalog import make_anvil
+from repro.sites.catalog import make_site
 from repro.util.clock import SimClock
 
 
 @pytest.fixture
 def anvil():
-    site = make_anvil(
-        SimClock(), package_index=standard_index(), background_load=False
+    site = make_site(
+        "anvil", SimClock(), package_index=standard_index(), background_load=False
     )
     site.add_account("x-u")
     return site
@@ -98,9 +98,9 @@ class TestSlurmExecutor:
 
     def test_requires_scheduler(self):
         from repro.errors import SchedulerError
-        from repro.sites.catalog import make_chameleon
+        from repro.sites.catalog import make_site
 
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         site.add_account("cc")
         with pytest.raises(SchedulerError):
             SlurmJobExecutor(site.login_handle("cc"), "none")

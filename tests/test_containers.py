@@ -103,14 +103,16 @@ class TestRuntimes:
 
 
 class TestContainerShellIntegration:
-    def _site_session(self, site_builder, user):
+    def _site_session(self, site_name, user):
         from repro.envs.stdlib import standard_index
         from repro.shellsim.session import ShellServices, ShellSession
+        from repro.sites.catalog import make_site
         from repro.util.clock import SimClock
 
         registry = ContainerRegistry()
         registry.push(_image())
-        site = site_builder(
+        site = make_site(
+            site_name,
             SimClock(),
             package_index=standard_index(),
             container_registries=[registry],
@@ -127,40 +129,22 @@ class TestContainerShellIntegration:
         return ShellSession(site.login_handle(user), services=services)
 
     def test_apptainer_exec_dispatches_image_command(self):
-        from repro.sites.catalog import make_faster
-
-        session = self._site_session(make_faster, "x-u")
+        session = self._site_session("faster", "x-u")
         result = session.run("apptainer exec reg.io/app:v1 app-test")
         assert result.ok and result.stdout == "app ok"
 
     def test_docker_refused_on_hpc_site(self):
-        from repro.sites.catalog import make_faster
-
-        session = self._site_session(make_faster, "x-u")
+        session = self._site_session("faster", "x-u")
         result = session.run("docker run reg.io/app:v1 app-test")
         assert result.exit_code == 125
 
     def test_docker_allowed_on_chameleon(self):
-        from repro.sites.catalog import make_chameleon
-
-        session = self._site_session(
-            lambda clock, **kw: make_chameleon(
-                clock, **{k: v for k, v in kw.items() if k != "background_load"}
-            ),
-            "cc",
-        )
+        session = self._site_session("chameleon", "cc")
         result = session.run("docker run reg.io/app:v1 app-test")
         assert result.ok and result.stdout == "app ok"
 
     def test_container_context_restored_after_exec(self):
-        from repro.sites.catalog import make_chameleon
-
-        session = self._site_session(
-            lambda clock, **kw: make_chameleon(
-                clock, **{k: v for k, v in kw.items() if k != "background_load"}
-            ),
-            "cc",
-        )
+        session = self._site_session("chameleon", "cc")
         session.run("docker run reg.io/app:v1 app-test")
         assert session.container is None
         # outside the container the baked command is gone

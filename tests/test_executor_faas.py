@@ -19,14 +19,14 @@ from repro.faas.endpoint import EndpointTemplate, MultiUserEndpoint, UserEndpoin
 from repro.faas.future import Future
 from repro.faas.task import TaskState
 from repro.shellsim.session import ShellServices
-from repro.sites.catalog import make_chameleon, make_faster
+from repro.sites.catalog import make_site
 from repro.util.clock import SimClock
 
 
 @pytest.fixture
 def faster_site():
-    site = make_faster(
-        SimClock(), package_index=standard_index(), background_load=False
+    site = make_site(
+        "faster", SimClock(), package_index=standard_index(), background_load=False
     )
     site.add_account("x-u")
     return site
@@ -61,7 +61,7 @@ class TestProviders:
         )
 
     def test_slurm_provider_needs_scheduler(self):
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         site.add_account("cc")
         with pytest.raises(ExecutorError):
             SlurmProvider(site, "cc", partition="none")

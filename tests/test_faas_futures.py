@@ -228,11 +228,12 @@ class TestPilotQueueWaitAccounting:
     def test_queue_wait_recorded_on_reprovision(self):
         """Queue wait of the *second* block (after walltime death) counts."""
         from repro.envs.stdlib import standard_index
-        from repro.sites.catalog import make_faster
+        from repro.sites.catalog import make_site
         from repro.util.clock import SimClock
 
-        site = make_faster(
-            SimClock(), package_index=standard_index(), background_load=False
+        site = make_site(
+            "faster", SimClock(), package_index=standard_index(),
+            background_load=False,
         )
         site.add_account("x-u")
 

@@ -24,7 +24,7 @@ from repro.faults.plan import (
     TaskError,
 )
 from repro.faults.resilience import BreakerPolicy, RetryPolicy
-from repro.sites.catalog import make_faster
+from repro.sites.catalog import make_site
 from repro.util.clock import SimClock
 from repro.world import World
 
@@ -455,7 +455,7 @@ class TestChainOrder:
 
 class TestPilotReprovision:
     def test_dead_block_reprovision_accumulates_queue_wait(self):
-        site = make_faster(SimClock(), package_index=standard_index())
+        site = make_site("faster", SimClock(), package_index=standard_index())
         site.add_account("x-u")
         executor = PilotExecutor(
             SlurmProvider(site, "x-u", partition="normal")
@@ -475,7 +475,7 @@ class TestPilotReprovision:
         )
 
     def test_walltime_death_during_task_raises_then_recovers(self):
-        site = make_faster(SimClock(), package_index=standard_index())
+        site = make_site("faster", SimClock(), package_index=standard_index())
         site.add_account("x-u")
         executor = PilotExecutor(
             SlurmProvider(site, "x-u", partition="normal")

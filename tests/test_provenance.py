@@ -54,10 +54,10 @@ class TestExecutionRecord:
 class TestSnapshotCapture:
     def test_capture_from_handle(self):
         from repro.envs.stdlib import standard_index
-        from repro.sites.catalog import make_chameleon
+        from repro.sites.catalog import make_site
         from repro.util.clock import SimClock
 
-        site = make_chameleon(SimClock(), package_index=standard_index())
+        site = make_site("chameleon", SimClock(), package_index=standard_index())
         site.add_account("cc")
         handle = site.login_handle("cc")
         handle.conda().install("base", {"pytest": "*"})

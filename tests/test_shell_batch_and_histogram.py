@@ -5,14 +5,14 @@ import pytest
 from repro.analysis.tables import format_histogram
 from repro.envs.stdlib import standard_index
 from repro.shellsim.session import ShellSession
-from repro.sites.catalog import make_anvil, make_chameleon
+from repro.sites.catalog import make_site
 from repro.util.clock import SimClock
 
 
 @pytest.fixture
 def anvil_session():
-    site = make_anvil(
-        SimClock(), package_index=standard_index(), background_load=False
+    site = make_site(
+        "anvil", SimClock(), package_index=standard_index(), background_load=False
     )
     site.add_account("x-u")
     site.add_account("x-other")
@@ -46,7 +46,7 @@ class TestSbatch:
         assert not anvil_session.run("sbatch -N 2").ok
 
     def test_no_scheduler_site(self):
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         site.add_account("cc")
         session = ShellSession(site.login_handle("cc"))
         assert not session.run("sbatch job").ok

@@ -18,7 +18,7 @@ from repro.shellsim.suites import (
     format_pytest_output,
     load_suite,
 )
-from repro.sites.catalog import make_chameleon
+from repro.sites.catalog import make_site
 from repro.util.clock import SimClock
 
 
@@ -67,7 +67,7 @@ class TestParsing:
 def session():
     from repro.envs.stdlib import standard_index
 
-    site = make_chameleon(SimClock(), package_index=standard_index())
+    site = make_site("chameleon", SimClock(), package_index=standard_index())
     site.add_account("cc")
     return ShellSession(site.login_handle("cc"))
 

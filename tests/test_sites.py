@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import FileSystemError, NetworkBlocked, SiteError
-from repro.sites.catalog import (
-    make_anvil,
-    make_chameleon,
-    make_expanse,
-    make_faster,
-    make_site,
-)
+from repro.sites.catalog import make_site
 from repro.sites.filesystem import Mount, MountTable, SimFileSystem
 from repro.sites.hardware import HardwareProfile
 from repro.sites.network import NetworkPolicy
@@ -149,7 +143,7 @@ class TestNetworkPolicy:
 
 class TestSiteAndCatalog:
     def test_site_accounts_and_handles(self):
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         site.add_account("cc")
         handle = site.login_handle("cc")
         assert handle.home() == "/home/cc"
@@ -158,14 +152,14 @@ class TestSiteAndCatalog:
             site.login_handle("ghost")
 
     def test_add_account_idempotent(self):
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         site.add_account("cc")
         site.add_account("cc")
         assert site.accounts() == ["cc"]
 
     def test_compute_charges_clock(self):
         clock = SimClock()
-        site = make_chameleon(clock)
+        site = make_site("chameleon", clock)
         site.add_account("cc")
         handle = site.login_handle("cc")
         duration = handle.compute(13.5)
@@ -173,41 +167,45 @@ class TestSiteAndCatalog:
         assert duration == pytest.approx(13.5 / 1.35)
 
     def test_chameleon_has_no_scheduler_and_allows_docker(self):
-        site = make_chameleon(SimClock())
+        site = make_site("chameleon", SimClock())
         assert not site.has_scheduler
         assert "docker" in site.container_runtimes
 
     def test_hpc_sites_have_schedulers_no_docker(self):
-        for builder in (make_faster, make_expanse, make_anvil):
-            site = builder(SimClock(), background_load=False)
+        for name in ("faster", "expanse", "anvil"):
+            site = make_site(name, SimClock(), background_load=False)
             assert site.has_scheduler
             assert "docker" not in site.container_runtimes
             assert "apptainer" in site.container_runtimes
 
     def test_faster_compute_cannot_reach_internet(self):
-        site = make_faster(SimClock(), background_load=False)
+        site = make_site("faster", SimClock(), background_load=False)
         assert site.network.allows_outbound("login")
         assert not site.network.allows_outbound("compute")
 
     def test_anvil_compute_can_reach_internet(self):
-        site = make_anvil(SimClock(), background_load=False)
+        site = make_site("anvil", SimClock(), background_load=False)
         assert site.network.allows_outbound("compute")
 
     def test_faster_home_is_login_only(self):
-        site = make_faster(SimClock(), background_load=False)
+        site = make_site("faster", SimClock(), background_load=False)
         site.add_account("x-u")
         login = site.login_handle("x-u")
         assert login.fs_isdir("/home/x-u")
-        node = site.scheduler._partitions["normal"].nodes[0]
+        node = site.scheduler.default_partition.nodes[0]
         compute = site.compute_handle("x-u", node)
         assert not compute.fs_exists("/home/x-u")
         assert compute.fs_isdir("/scratch/x-u")
 
     def test_speed_ordering_chameleon_fastest(self):
         profiles = {
-            "chameleon": make_chameleon(SimClock()).profiles["login"],
-            "faster": make_faster(SimClock(), background_load=False).profiles["compute"],
-            "expanse": make_expanse(SimClock(), background_load=False).profiles["compute"],
+            "chameleon": make_site("chameleon", SimClock()).profiles["login"],
+            "faster": make_site(
+                "faster", SimClock(), background_load=False
+            ).profiles["compute"],
+            "expanse": make_site(
+                "expanse", SimClock(), background_load=False
+            ).profiles["compute"],
         }
         assert (
             profiles["chameleon"].cpu_speed
@@ -217,7 +215,7 @@ class TestSiteAndCatalog:
 
     def test_background_load_creates_queue_wait(self, run_until_started):
         clock = SimClock()
-        site = make_faster(clock, background_load=True)
+        site = make_site("faster", clock, background_load=True)
         from repro.scheduler.jobs import Job
 
         job = Job(user="u", partition="normal", duration=5.0, walltime=60.0)
@@ -227,7 +225,7 @@ class TestSiteAndCatalog:
 
     def test_background_load_replenishes(self):
         clock = SimClock()
-        site = make_faster(clock, background_load=True)
+        site = make_site("faster", clock, background_load=True)
         clock.advance(2000.0)
         # the machine is still (nearly) saturated long after t=0
         assert site.scheduler.utilization("normal") >= 0.9
@@ -238,7 +236,7 @@ class TestSiteAndCatalog:
             make_site("frontier", SimClock())
 
     def test_compute_handle_requires_compute_node(self):
-        site = make_faster(SimClock(), background_load=False)
+        site = make_site("faster", SimClock(), background_load=False)
         site.add_account("x-u")
         with pytest.raises(SiteError):
             site.compute_handle("x-u", site.login_nodes[0])
