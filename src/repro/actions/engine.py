@@ -190,7 +190,6 @@ class Engine:
         # recovery: (run_id, job_id, step index) -> journaled outcome of a
         # finished plain `run:` step, loaded by resume_run; None = no resume
         self._step_ledger: Optional[Dict[tuple, Dict[str, Any]]] = None
-        self.replayed_steps = 0
         self._register_builtin_actions()
         hub.subscribe(self.handle_event)
 
@@ -583,7 +582,6 @@ class Engine:
             log=entry["log"],
             error=entry["error"],
         )
-        self.replayed_steps += 1
         self.events.emit(
             self.clock.now, "actions", "step.replayed",
             run_id=run.run_id, job=job_run.job_id, index=index,

@@ -54,7 +54,7 @@ class ChaosFig4Result:
     outcomes: Dict[str, Dict[str, str]]
     resilience: Dict
     breakers: Dict[str, Dict]
-    injected: List[Dict] = field(default_factory=list)
+    injected: List[Dict] = field(default_factory=list)  # every fired fault
     records_with_seed: int = 0
     world: object = None
 
@@ -155,7 +155,10 @@ def run_fig4_chaos(
         outcomes=outcomes,
         resilience=world.faas.resilience.summary(),
         breakers=breakers,
-        injected=list(world.fault_injector.injected),
+        injected=[
+            {"time": e.time, "kind": e.kind, **e.data}
+            for e in world.events.query("fault") if e.kind != "plan.armed"
+        ],
         records_with_seed=records_with_seed,
         world=world,
     )

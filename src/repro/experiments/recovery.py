@@ -260,7 +260,9 @@ def _recover_one(
         resumed_output=resumed_output,
         run_status=resumed_run.status if resumed_run else "missing",
         replayed_tasks=len(resumed_world.faas.replayed_keys),
-        replayed_steps=resumed_world.engine.replayed_steps,
+        replayed_steps=len(
+            resumed_world.events.query("actions", "step.replayed")
+        ),
         double_executed=double,
         resumed_world=resumed_world,
     )

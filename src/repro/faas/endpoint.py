@@ -217,16 +217,6 @@ class MultiUserEndpoint:
             )
         return uep
 
-    def _audit_task(self, token: Token, spec: FunctionSpec) -> None:
-        self.audit_log.append(
-            {
-                "time": self.site.clock.now,
-                "event": "task.executed",
-                "identity": token.identity.urn,
-                "function": spec.name,
-            }
-        )
-
     def execute_async(
         self,
         token: Token,
@@ -241,7 +231,6 @@ class MultiUserEndpoint:
         template resolution raise synchronously at dispatch — an unmapped
         or policy-violating identity never reaches a local account."""
         uep = self.user_endpoint(token, template_name)
-        self._audit_task(token, spec)
         tracer = tracer_of(self.site.clock)
         if tracer.enabled:
             tracer.annotate(template=template_name, identity=token.identity.urn)

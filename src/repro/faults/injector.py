@@ -109,7 +109,6 @@ class FaultInjector:
         self._partitioned: Dict[str, int] = {}  # site -> open window count
         self._saved_networks: Dict[str, object] = {}
         self._degraded: Dict[str, float] = {}  # endpoint -> multiplier
-        self.injected: List[Dict] = []  # audit: every fired injection
 
     # -- lifecycle ---------------------------------------------------------
     def arm(self) -> None:
@@ -175,8 +174,6 @@ class FaultInjector:
                 raise TypeError(f"unknown fault type {type(fault).__name__}")
 
     def _record(self, kind: str, **data) -> None:
-        entry = {"time": self.clock.now, "kind": kind, **data}
-        self.injected.append(entry)
         self.events.emit(self.clock.now, "fault", kind, **data)
 
     # -- endpoint outages --------------------------------------------------
