@@ -36,11 +36,9 @@ from repro.experiments import common
 from repro.faas.client import ComputeClient
 from repro.faas.hedging import HedgeConfig, HedgeStats
 from repro.faas.task import TaskState
-from repro.faults.profiles import build_profile
+from repro.faults.profiles import FAILSLOW_SITE, build_profile
 from repro.telemetry.metrics import percentile
 from repro.world import World
-
-FAILSLOW_SITE = "chameleon"
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,15 @@ from repro.faas.overload import (
     OverloadStats,
 )
 from repro.faas.task import TaskState
-from repro.faults.profiles import FAULT_FREE_PROFILES, build_profile
+from repro.faults.profiles import (
+    FAULT_FREE_PROFILES,
+    OVERLOAD_SITE,
+    build_profile,
+)
 from repro.faults.resilience import ResilienceStats, RetryPolicy
 from repro.telemetry.metrics import percentile
 from repro.telemetry.slo import overload_slo_pack
 from repro.world import World
-
-OVERLOAD_SITE = "chameleon"
 
 # Retry tuning for overload runs: fewer, faster attempts than the chaos
 # experiments — under contention a long backoff ladder just holds queue

@@ -27,10 +27,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.reporting import parse_pytest_stdout
+from repro.experiments.fig4_parsldock import FIG4_SITES
 from repro.faults.plan import CoordinatorCrash, FaultPlan
 from repro.suites import execute_suite, prepare_suite
 
-RECOVERY_SITES: Tuple[str, ...] = ("chameleon", "faster", "expanse")
 RECOVERY_SUITE = "fig4"
 # generous TTL: leases are on to prove the machinery coexists with
 # recovery, but no lease may expire mid-run and perturb byte-identity
@@ -98,7 +98,7 @@ def crash_points_of(journal) -> Dict[str, int]:
 
     The first wave holds one test job per recovery site.
     """
-    job_count = len(RECOVERY_SITES)
+    job_count = len(FIG4_SITES)
     dispatched: List[int] = []
     completed: List[int] = []
     jobs_finished: List[int] = []
@@ -138,7 +138,7 @@ def _render_outputs(world, run) -> str:
             f"outputs={json.dumps(outcome.outputs, sort_keys=True)}"
             for outcome in job_run.step_outcomes
         )
-    for site_name in RECOVERY_SITES:
+    for site_name in FIG4_SITES:
         artifact = world.hub.artifacts.download(
             run.run_id, f"correct-{site_name}-stdout"
         )

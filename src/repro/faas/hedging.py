@@ -551,13 +551,7 @@ class HedgeController:
             elapsed=round(now - (entry.dispatched_at or now), 6),
             reason=reason,
         )
-        endpoint = service.endpoint(target)
-        delay = (
-            service.cloud_overhead_seconds
-            + 2 * endpoint.site.network.latency_to_cloud
-        )
-        dispatcher = service._dispatcher(target)
-        service.clock.call_after(delay, lambda: dispatcher.arrive(hedge))
+        service._forward(hedge, target)
 
     def on_outcome(
         self, entry: PendingTask, result, error: Optional[BaseException]

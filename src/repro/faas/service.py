@@ -537,15 +537,16 @@ class FaaSService:
             return future
 
         self.pipeline.accepted(entry, timeout)
-
-        dispatcher = self._dispatcher(endpoint_id)
-        # control-plane cost: runner -> cloud -> endpoint, as an event
-        delay = (
-            self.cloud_overhead_seconds
-            + 2 * endpoint.site.network.latency_to_cloud
-        )
-        self.clock.call_after(delay, lambda: dispatcher.arrive(entry))
+        self._forward(entry, endpoint_id)
         return future
+
+    def _forward(self, entry: PendingTask, endpoint_id: str) -> None:
+        """Hand ``entry`` to the endpoint's lane after the control-plane
+        cost: runner -> cloud -> endpoint, as an event."""
+        site = self._endpoints[endpoint_id].site
+        delay = self.cloud_overhead_seconds + 2 * site.network.latency_to_cloud
+        dispatcher = self._dispatcher(endpoint_id)
+        self.clock.call_after(delay, lambda: dispatcher.arrive(entry))
 
     def submit_batch(
         self, token_value: str, requests: Sequence[BatchRequest]

@@ -116,6 +116,8 @@ def partition(seed: int) -> FaultPlan:
 
 # the multi-tenant overload experiment runs everything on one pooled site
 OVERLOAD_SITE = "chameleon"
+# the fail-slow experiment hedges across one pooled site's members
+FAILSLOW_SITE = "chameleon"
 
 
 def overload(seed: int) -> FaultPlan:
@@ -176,7 +178,7 @@ def fail_slow(seed: int) -> FaultPlan:
         duration = rng.uniform(500.0, 900.0)
         plan.add(
             PerfDegradation(
-                at=start, site=OVERLOAD_SITE, duration=duration,
+                at=start, site=FAILSLOW_SITE, duration=duration,
                 multiplier=rng.uniform(3.0, 6.0), member=1,
             )
         )
