@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.util.events import Event, EventLog
 
@@ -42,7 +42,7 @@ def percentile(values: List[float], p: float) -> float:
 class BucketHistogram:
     """A fixed-bound streaming histogram: O(len(bounds)) memory, always.
 
-    The bounded-memory sibling of :class:`Histogram`'s exact mode:
+    The bounded-memory sibling of the exact :class:`Histogram`:
     observations increment the count of the first bound containing them,
     and percentiles come back as the matching *upper bound* (clamped to
     the maximum observed value) — a deterministic over-estimate that
@@ -146,65 +146,38 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution with count/mean/p50/p95/max summaries.
+    """An exact distribution with count/mean/p50/p95/max summaries.
 
-    Two modes. **Exact** (the default) retains every observation, so
-    percentiles are exact — this is what every figure output is built
-    on, and it stays byte-identical. **Streaming** (``bounds=...``)
-    delegates to a :class:`BucketHistogram`: fixed memory no matter how
-    many observations arrive, percentiles estimated from the bounds.
-    Bench scenarios run the registry in streaming mode so a million-task
-    run does not retain a million latencies per instrument.
+    Retains every observation, so percentiles are exact — this is what
+    every figure output is built on. A streaming registry hands out a
+    :class:`BucketHistogram` instead (see :class:`MetricsRegistry`).
     """
 
-    def __init__(self, bounds: Optional[Tuple[float, ...]] = None) -> None:
-        self._values: Optional[List[float]] = None if bounds else []
-        self._stream: Optional[BucketHistogram] = (
-            BucketHistogram(bounds) if bounds else None
-        )
-
-    @property
-    def streaming(self) -> bool:
-        return self._stream is not None
+    def __init__(self) -> None:
+        self._values: List[float] = []
 
     def observe(self, value: float) -> None:
-        if self._values is not None:
-            self._values.append(value)
-        else:
-            self._stream.observe(value)
+        self._values.append(value)
 
     @property
     def count(self) -> int:
-        if self._values is not None:
-            return len(self._values)
-        return self._stream.count
+        return len(self._values)
 
     @property
     def total(self) -> float:
-        if self._values is not None:
-            return sum(self._values)
-        return self._stream.total
+        return sum(self._values)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        if self._values is not None:
-            return percentile(self._values, p)
-        return self._stream.percentile(p)
+        return percentile(self._values, p)
 
     def values(self) -> List[float]:
-        if self._values is None:
-            raise TypeError(
-                "a streaming histogram does not retain observations; "
-                "use summary() or percentile()"
-            )
         return list(self._values)
 
     def summary(self) -> Dict[str, float]:
-        if self._values is None:
-            return self._stream.summary()
         if not self._values:
             return {"count": 0}
         return {
@@ -223,10 +196,11 @@ class MetricsRegistry:
     one histogram for that (name, labels) pair; re-registering a name
     with a different instrument type is an error.
 
-    ``histogram_bounds`` switches every histogram the registry creates
-    into fixed-bucket streaming mode (see :class:`Histogram`); the
-    default ``None`` keeps the exact mode every figure output depends
-    on.
+    With ``histogram_bounds`` every histogram the registry creates is
+    a :class:`BucketHistogram` over those bounds: fixed memory no matter
+    how many observations arrive, so a million-task run does not retain
+    a million latencies per instrument. The default ``None`` creates
+    the exact :class:`Histogram` every figure output depends on.
     """
 
     def __init__(
@@ -255,12 +229,15 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get(Gauge, name, labels)
 
-    def histogram(self, name: str, **labels: Any) -> Histogram:
+    def histogram(
+        self, name: str, **labels: Any
+    ) -> Union[Histogram, BucketHistogram]:
         bounds = self.histogram_bounds
         if bounds is None:
             return self._get(Histogram, name, labels)
         return self._get(
-            Histogram, name, labels, builder=lambda: Histogram(bounds)
+            BucketHistogram, name, labels,
+            builder=lambda: BucketHistogram(bounds),
         )
 
     def __len__(self) -> int:

@@ -21,6 +21,7 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import (
+    BucketHistogram,
     Counter,
     Gauge,
     Histogram,
@@ -79,7 +80,7 @@ def openmetrics_text(
             family_type = "counter"
         elif isinstance(instrument, Gauge):
             family_type = "gauge"
-        elif isinstance(instrument, Histogram):
+        elif isinstance(instrument, (Histogram, BucketHistogram)):
             family_type = "summary"
         else:  # pragma: no cover - no other instrument types exist
             continue

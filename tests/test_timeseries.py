@@ -59,28 +59,28 @@ class TestBucketHistogram:
 
 class TestStreamingHistogram:
     def test_exact_mode_is_the_default(self):
-        hist = Histogram()
-        assert not hist.streaming
+        hist = MetricsRegistry().histogram("latency")
+        assert type(hist) is Histogram
         hist.observe(3.0)
         assert hist.values() == [3.0]
         assert hist.percentile(50) == 3.0
 
     def test_streaming_mode_never_retains_values(self):
-        hist = Histogram(bounds=DEFAULT_BOUNDS)
-        assert hist.streaming
+        hist = MetricsRegistry(histogram_bounds=DEFAULT_BOUNDS).histogram("x")
+        assert type(hist) is BucketHistogram
         for value in (0.3, 0.4, 0.6, 80.0):
             hist.observe(value)
         assert hist.count == 4
         assert hist.percentile(50) == 0.5  # bound estimate
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             hist.values()
 
     def test_registry_bounds_switch_every_histogram(self):
         registry = MetricsRegistry(histogram_bounds=DEFAULT_BOUNDS)
         hist = registry.histogram("latency", endpoint="a")
-        assert hist.streaming
+        assert type(hist) is BucketHistogram
         default = MetricsRegistry()
-        assert not default.histogram("latency").streaming
+        assert type(default.histogram("latency")) is Histogram
 
 
 class TestCounterSeries:
