@@ -23,10 +23,8 @@ from repro.experiments.ablations import (
 )
 
 
-def test_abl1_pilot_vs_per_task_overhead(benchmark, emit):
-    result = benchmark.pedantic(
-        lambda: overhead_ablation(n_tasks=6), rounds=1, iterations=1
-    )
+def test_abl1_pilot_vs_per_task_overhead(emit):
+    result = overhead_ablation(n_tasks=6)
     rows = [
         [i + 1, f"{p:.1f}", f"{q:.1f}"]
         for i, (p, q) in enumerate(
@@ -48,8 +46,8 @@ def test_abl1_pilot_vs_per_task_overhead(benchmark, emit):
     assert result.amortization_factor > 5
 
 
-def test_abl2_security_mechanisms(benchmark, emit):
-    results = benchmark.pedantic(security_ablation, rounds=1, iterations=1)
+def test_abl2_security_mechanisms(emit):
+    results = security_ablation()
     rows = [[check, "holds" if ok else "VIOLATED"] for check, ok in results.items()]
     emit("ablation2_security", format_table(["mechanism", "result"], rows))
     assert all(results.values()), results
@@ -64,8 +62,8 @@ def test_abl2_security_mechanisms(benchmark, emit):
     } <= set(results)
 
 
-def test_abl3_cron_vs_correct(benchmark, emit):
-    result = benchmark.pedantic(cron_vs_correct, rounds=1, iterations=1)
+def test_abl3_cron_vs_correct(emit):
+    result = cron_vs_correct()
     text = format_table(
         ["property", "PSI/J cron CI", "CORRECT"],
         [
@@ -94,15 +92,15 @@ def test_abl3_cron_vs_correct(benchmark, emit):
     assert result.both_catch_failure
 
 
-def test_abl3_artifact_retention(benchmark, emit):
-    results = benchmark.pedantic(retention_ablation, rounds=1, iterations=1)
+def test_abl3_artifact_retention(emit):
+    results = retention_ablation()
     rows = [[check, str(ok)] for check, ok in results.items()]
     emit("ablation3_retention", format_table(["check", "result"], rows))
     assert all(results.values()), results
 
 
-def test_abl4_cloud_overhead_sweep(benchmark, emit):
-    result = benchmark.pedantic(cloud_overhead_sweep, rounds=1, iterations=1)
+def test_abl4_cloud_overhead_sweep(emit):
+    result = cloud_overhead_sweep()
     rows = [
         [f"{overhead:.1f}", f"{latency:.2f}"]
         for overhead, latency in sorted(result.latencies.items())

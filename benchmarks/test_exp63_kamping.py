@@ -17,9 +17,7 @@ def result():
     return run_exp63()
 
 
-def test_exp63_all_artifacts_reproduce(benchmark, emit, result):
-    benchmark.pedantic(run_exp63, rounds=1, iterations=1)
-
+def test_exp63_all_artifacts_reproduce(emit, result):
     sections = [f"run status: {result.run.status}"]
     sections.extend(
         f"\n--- {name} ---\n{output}"
@@ -34,21 +32,18 @@ def test_exp63_all_artifacts_reproduce(benchmark, emit, result):
     }
 
 
-def test_exp63_headline_overhead_ordering(result, benchmark):
-    benchmark(result.verdicts)
+def test_exp63_headline_overhead_ordering(result):
     out = result.artifact_outputs["ae-allgatherv-bench"]
     assert "verdict: PASS" in out
     assert "plain ~ kamping << naive" in out
 
 
-def test_exp63_sort_correctness_verified(result, benchmark):
-    benchmark(result.verdicts)
+def test_exp63_sort_correctness_verified(result):
     out = result.artifact_outputs["ae-sort-bench"]
     assert "INCORRECT" not in out
     assert "verdict: PASS" in out
 
 
-def test_exp63_outputs_stored_per_step(result, benchmark):
-    benchmark(lambda: result.artifact_outputs)
+def test_exp63_outputs_stored_per_step(result):
     for name, output in result.artifact_outputs.items():
         assert output.strip(), f"{name} stored an empty artifact"

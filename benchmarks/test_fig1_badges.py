@@ -11,8 +11,8 @@ from repro.badges.history import BadgeHistoryModel
 from repro.experiments import run_fig1
 
 
-def test_fig1_badges_over_time(benchmark, emit):
-    counts = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
+def test_fig1_badges_over_time(emit):
+    counts = run_fig1()
 
     rows = [
         [year, c["available"], c["evaluated"], c["reproduced"]]
@@ -36,7 +36,6 @@ def test_fig1_badges_over_time(benchmark, emit):
     assert counts[years[-1]]["reproduced"] < counts[years[-1]]["available"] / 2
 
 
-def test_fig1_model_is_deterministic(benchmark):
-    model = BadgeHistoryModel(seed=2025)
-    result = benchmark(model.run)
+def test_fig1_model_is_deterministic():
+    result = BadgeHistoryModel(seed=2025).run()
     assert result == BadgeHistoryModel(seed=2025).run()

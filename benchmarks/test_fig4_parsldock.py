@@ -21,10 +21,7 @@ def result():
     return run_fig4()
 
 
-def test_fig4_runtimes_per_site(benchmark, emit, result):
-    # wall-time of the harness is the benchmark; the *figure* is virtual
-    benchmark.pedantic(run_fig4, rounds=1, iterations=1)
-
+def test_fig4_runtimes_per_site(emit, result):
     groups = {
         test: {site: result.durations[site][test] for site in result.durations}
         for test in result.tests()
@@ -46,15 +43,14 @@ def test_fig4_runtimes_per_site(benchmark, emit, result):
     assert result.all_passed()
 
 
-def test_fig4_chameleon_wins_most_tests(result, benchmark):
-    fastest = benchmark(result.fastest_site_per_test)
+def test_fig4_chameleon_wins_most_tests(result):
+    fastest = result.fastest_site_per_test()
     wins = sum(1 for site in fastest.values() if site == "chameleon")
     assert wins >= 8, fastest
 
 
-def test_fig4_speed_ordering_on_long_tests(result, benchmark):
+def test_fig4_speed_ordering_on_long_tests(result):
     """On compute-bound tests the site speed ordering shows through."""
-    benchmark(lambda: result.durations)
     for test in ("test_dock_single", "test_scores_reproducible"):
         assert (
             result.durations["chameleon"][test]
@@ -63,8 +59,7 @@ def test_fig4_speed_ordering_on_long_tests(result, benchmark):
         )
 
 
-def test_fig4_short_tests_overhead_dominated(result, benchmark):
-    benchmark(lambda: result.durations)
+def test_fig4_short_tests_overhead_dominated(result):
     short, long = "test_smiles_parse", "test_scores_reproducible"
     for site in ("faster", "expanse"):
         short_ratio = (
@@ -76,8 +71,7 @@ def test_fig4_short_tests_overhead_dominated(result, benchmark):
         assert short_ratio < long_ratio * 1.5
 
 
-def test_fig4_batch_sites_paid_queue_wait_once(result, benchmark):
-    benchmark(lambda: result.queue_waits)
+def test_fig4_batch_sites_paid_queue_wait_once(result):
     assert result.queue_waits["chameleon"] == 0.0
     assert result.queue_waits["faster"] > 0.0
     assert result.queue_waits["expanse"] > 0.0

@@ -15,8 +15,8 @@ from repro.experiments import (
 )
 
 
-def test_table1_science_app_characteristics(benchmark, emit):
-    rows = benchmark(table1_rows)
+def test_table1_science_app_characteristics(emit):
+    rows = table1_rows()
     emit(
         "table1_characteristics",
         format_table(["Characteristic", "Description"], rows),
@@ -29,8 +29,8 @@ def test_table1_science_app_characteristics(benchmark, emit):
     ]
 
 
-def test_table2_scientific_ci_usage(benchmark, emit):
-    rows = benchmark(table2_rows)
+def test_table2_scientific_ci_usage(emit):
+    rows = table2_rows()
     emit(
         "table2_sci_ci",
         format_table(
@@ -51,8 +51,8 @@ def test_table2_scientific_ci_usage(benchmark, emit):
     assert matrix["ATLAS"][2] == matrix["AMBER"][2] == "CI"
 
 
-def test_table3_hpc_ci_characteristics(benchmark, emit):
-    rows = benchmark(table3_rows)
+def test_table3_hpc_ci_characteristics(emit):
+    rows = table3_rows()
     emit(
         "table3_hpc_characteristics",
         format_table(["Characteristic", "Description"], rows),
@@ -60,12 +60,8 @@ def test_table3_hpc_ci_characteristics(benchmark, emit):
     assert [r[0] for r in rows] == ["Collaborative", "Secure", "Lightweight"]
 
 
-def test_table4_hpc_ci_frameworks(benchmark, emit):
-    rows, probes = benchmark.pedantic(
-        lambda: table4_rows_and_probes(include_correct=True),
-        rounds=1,
-        iterations=1,
-    )
+def test_table4_hpc_ci_frameworks(emit):
+    rows, probes = table4_rows_and_probes(include_correct=True)
     table = format_table(
         ["Framework", "CI Platform", "Authentication",
          "Site-Specific Execution", "Containerization"],
