@@ -189,8 +189,8 @@ def _add_background_load(site: Site, stagger: float, waves: int = 30) -> None:
     """
     assert site.scheduler is not None
     scheduler = site.scheduler
-    partition = scheduler.default_partition.name
-    nodes = scheduler.default_partition.node_count
+    partition = scheduler.default_partition
+    nodes = partition.node_count
     cycle = stagger * nodes
     budget = {"remaining": nodes * waves}
 
@@ -205,7 +205,7 @@ def _add_background_load(site: Site, stagger: float, waves: int = 30) -> None:
             scheduler.submit(
                 Job(
                     user="background",
-                    partition=partition,
+                    partition=partition.name,
                     num_nodes=1,
                     walltime=cycle,
                     duration=cycle,
@@ -219,7 +219,7 @@ def _add_background_load(site: Site, stagger: float, waves: int = 30) -> None:
         scheduler.submit(
             Job(
                 user="background",
-                partition=partition,
+                partition=partition.name,
                 num_nodes=1,
                 walltime=duration,
                 duration=duration,
