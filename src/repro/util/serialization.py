@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Optional
 
 # Matches Globus Compute's documented task/result payload ceiling.
 DEFAULT_PAYLOAD_LIMIT = 10 * 1024 * 1024
@@ -49,9 +50,52 @@ def _decode_hook(obj: dict) -> Any:
     return obj
 
 
-# json.dumps(..., sort_keys=True) constructs a fresh JSONEncoder per
-# call; this one is built once and produces identical text.
-_canonical_dumps = json.JSONEncoder(sort_keys=True).encode
+def _canonical_encoder(make_encoder: Optional[Callable]) -> Callable[[Any], str]:
+    """The renderer of ``json.dumps(value, sort_keys=True)``'s text.
+
+    ``JSONEncoder.encode`` builds a C encoder and a closure on every call;
+    this builds the same C encoder (same separators, ``sort_keys``,
+    ``ensure_ascii`` and ``allow_nan``) once, from json's own
+    ``c_make_encoder``. It keeps no circular-reference markers: every
+    caller hands it acyclic data (flat data, the fresh copy :func:`_encode`
+    builds, ``json.loads`` output or a scalar), and a cyclic value recurses
+    forever in :func:`_encode` before it gets here. Without the C
+    accelerator (``make_encoder`` is ``None``) json's pure-Python encoder
+    writes the same text.
+    """
+    if make_encoder is None:
+        return json.JSONEncoder(sort_keys=True).encode
+    encoder = make_encoder(
+        None,  # markers: no circular-reference check
+        json.JSONEncoder().default,  # raises TypeError for non-data objects
+        encode_basestring_ascii,
+        None,  # indent
+        ": ",
+        ", ",
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    join = "".join
+
+    def canonical_dumps(value: Any) -> str:
+        return join(encoder(value, 0))
+
+    return canonical_dumps
+
+
+_canonical_dumps = _canonical_encoder(json.encoder.c_make_encoder)
+
+_PLAIN_TYPES = (str, int, float, bool)
+
+
+def _all_plain(values) -> bool:
+    """Whether every value is ``None`` or a plain scalar: json renders
+    such values identically with or without the encode walk."""
+    for value in values:
+        if value is not None and type(value) not in _PLAIN_TYPES:
+            return False
+    return True
 
 
 def serialize(value: Any) -> str:
@@ -59,8 +103,11 @@ def serialize(value: Any) -> str:
 
     Raises ``TypeError`` for objects that are not data (open handles, live
     simulation objects...) — remote task payloads must be plain data.
+    A scalar, or a list or dict of plain scalars, skips the encode walk.
     """
-    return _canonical_dumps(_encode(value))
+    t = type(value)
+    items = value if t is list else value.values() if t is dict else (value,)
+    return _canonical_dumps(value if _all_plain(items) else _encode(value))
 
 
 def deserialize(text: str) -> Any:
@@ -68,24 +115,17 @@ def deserialize(text: str) -> Any:
     return json.loads(text, object_hook=_decode_hook)
 
 
-_PLAIN_TYPES = (str, int, float, bool)
-
-
 def serialize_call(args: tuple, kwargs: dict) -> str:
     """Canonical payload text for one function call.
 
     Byte-identical to ``serialize({"args": list(args), "kwargs":
     kwargs})``, but calls whose arguments are all plain scalars — the
-    overwhelmingly common case — skip the recursive encode walk, since
-    json renders scalars identically with or without it.
+    overwhelmingly common case — skip the recursive encode walk.
     """
-    for value in args:
-        if value is not None and type(value) not in _PLAIN_TYPES:
-            return serialize({"args": list(args), "kwargs": kwargs})
-    for value in kwargs.values():
-        if value is not None and type(value) not in _PLAIN_TYPES:
-            return serialize({"args": list(args), "kwargs": kwargs})
-    return _canonical_dumps({"args": list(args), "kwargs": kwargs})
+    call = {"args": list(args), "kwargs": kwargs}
+    if _all_plain(args) and _all_plain(kwargs.values()):
+        return _canonical_dumps(call)
+    return _canonical_dumps(_encode(call))
 
 
 def serialized_size(value: Any) -> int:
@@ -98,11 +138,12 @@ def serialized_size(value: Any) -> int:
     if t is float:
         if value == value and value not in (_INF, _NEG_INF):
             return len(repr(value))
-        return len(json.dumps(value))  # nan/inf render as NaN/Infinity
+        return len(_canonical_dumps(value))  # nan/inf render as NaN/Infinity
     if t is int or t is bool:
         return len(repr(value))
     if value is None:
         return 4
+    # the canonical text is ASCII (``ensure_ascii``): one byte per character
     if t is str:
-        return len(json.dumps(value).encode("utf-8"))
-    return len(serialize(value).encode("utf-8"))
+        return len(encode_basestring_ascii(value))
+    return len(serialize(value))
