@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 
 from repro.errors import CoordinatorCrashed, TaskFailed
 from repro.util.events import Event, EventLog
-from repro.util.serialization import serialize, serialize_call
+from repro.util.serialization import serialize
 
 # Task-lifecycle kinds enriched with the idempotency key.
 _TASK_KINDS = {
@@ -116,9 +116,10 @@ class RunCheckpointer:
             return data
         data["key"] = task.idempotency_key
         if event.kind == "task.submitted":
-            # Enough to re-submit an orphan after recovery.
+            # Enough to re-submit an orphan after recovery: the payload
+            # text submit rendered for the task's idempotency key.
             data["function_id"] = task.function_id
-            data["payload"] = serialize_call(task.args, task.kwargs)
+            data["payload"] = task.payload
         if terminal:
             state = getattr(task.state, "value", str(task.state))
             data["result"] = serialize(task.result) if state == "SUCCESS" else ""

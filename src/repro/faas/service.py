@@ -440,9 +440,9 @@ class FaaSService:
             raise EndpointOffline(f"endpoint {endpoint_id!r} is offline")
         # "queue": accept; the dispatch event re-checks liveness
 
-        # one canonical serialization serves both the size limit and the
-        # idempotency key — serializing the payload is the single most
-        # expensive step of submit, so it happens exactly once
+        # one canonical serialization serves the size limit, the
+        # idempotency key and the journal — serializing the payload is the
+        # single most expensive step of submit, so it happens exactly once
         payload = serialize_call(args, kwargs)
         # UTF-8 spends at most 4 bytes per character, so payloads short
         # enough that 4x their length fits need no exact byte count
@@ -475,6 +475,7 @@ class FaaSService:
             kwargs=kwargs,
             submitted_at=self.clock.now,
             idempotency_key=idem_key,
+            payload=payload,
             routed_by=route.routed_by,
             pool=route.pool,
             queue_depth_at_route=route.queue_depth_at_route,
