@@ -247,8 +247,9 @@ class World:
         return self.fault_injector
 
     # -- sites -------------------------------------------------------------------
-    def site(self, name: str, background_load: bool = True) -> Site:
-        """Build (or return) a catalog site sharing this world's services."""
+    def site(self, name: str) -> Site:
+        """Build (or return) a catalog site sharing this world's services;
+        a batch site comes with its background production load."""
         if name not in self.sites:
             self.sites[name] = make_site(
                 name,
@@ -256,7 +257,6 @@ class World:
                 package_index=self.package_index,
                 container_registries=[self.container_registry],
                 events=self.events,
-                background_load=background_load,
             )
         return self.sites[name]
 

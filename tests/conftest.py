@@ -67,19 +67,6 @@ def world() -> World:
 
 
 @pytest.fixture
-def quiet_world() -> World:
-    """A world whose sites are built without background queue load."""
-    w = World()
-    original = w.site
-
-    def site_no_load(name, background_load=False):
-        return original(name, background_load=background_load)
-
-    w.site = site_no_load  # type: ignore[method-assign]
-    return w
-
-
-@pytest.fixture
 def run_until_started():
     """``run_until_started(scheduler, job)`` fires clock events until a
     submitted batch job leaves the queue, or no event is left."""

@@ -163,7 +163,7 @@ class TestCronCI:
 
         world = World()
         world.register_user("dev", {"anvil": "x-dev"})
-        site = world.site("anvil", background_load=False)
+        site = world.site("anvil")
         handle = site.login_handle("x-dev")
         handle.conda().create("psij")
         handle.conda().install("psij", {"psij-python": "==0.9.9", "pytest": "*"})

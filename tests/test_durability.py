@@ -34,18 +34,6 @@ from repro.util.events import EventLog
 from repro.world import World
 
 
-def make_world(**kwargs) -> World:
-    """A quiet world (no background queue load)."""
-    world = World(**kwargs)
-    original = world.site
-
-    def site_no_load(name, background_load=False):
-        return original(name, background_load=background_load)
-
-    world.site = site_no_load  # type: ignore[method-assign]
-    return world
-
-
 def cloud_endpoint(world: World, site: str = "chameleon", account: str = "cc"):
     user = world.register_user("alice", {site: account})
     mep = common.deploy_site_mep(world, site)
@@ -319,7 +307,7 @@ class TestLeaseRegistry:
 
 class TestServiceLeases:
     def test_task_activity_renews_and_idleness_expires(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         world.faas.enable_leases(ttl=500.0)
         assert world.faas.leases.active(eid)
@@ -334,7 +322,7 @@ class TestServiceLeases:
         assert world.faas.leases.lease(eid) is None
 
     def test_expiry_mid_task_fails_inflight_work(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         world.faas.enable_leases(ttl=5.0)  # far shorter than the 30s body
         fid = client.register_function(_slow, "slow")
@@ -346,7 +334,7 @@ class TestServiceLeases:
         assert world.faas.endpoint(eid).online is False
 
     def test_expired_endpoint_fails_over_to_declared_fallback(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=4, base_delay=2.0, seed=3),
             breaker=BreakerPolicy(failure_threshold=1, reset_timeout=9999.0),
             offline_policy="queue",
@@ -371,7 +359,7 @@ class TestServiceLeases:
 
 class TestCheckpointer:
     def test_lifecycle_events_are_journaled_with_keys(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         journal = world.attach_journal()
         fid = client.register_function(_quick, "quick")
@@ -391,13 +379,13 @@ class TestCheckpointer:
         assert "endpoint.registered" in kinds
 
     def test_attach_twice_is_an_error(self):
-        world = make_world()
+        world = World()
         world.attach_journal()
         with pytest.raises(ValueError):
             world.attach_journal()
 
     def test_armed_crash_raises_at_exact_record(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         journal = world.attach_journal()
         world.checkpointer.arm_crash(len(journal) + 2)
@@ -410,14 +398,14 @@ class TestCheckpointer:
     def test_crash_fault_requires_a_journal(self):
         from repro.faults.plan import CoordinatorCrash, FaultPlan
 
-        world = make_world(
+        world = World(
             faults=FaultPlan(seed=1).add(CoordinatorCrash(at_event_seq=1))
         )
         with pytest.raises(ValueError, match="attach_journal"):
             world.arm_faults()
 
     def test_arm_crash_rejects_non_positive_offsets(self):
-        world = make_world()
+        world = World()
         world.attach_journal()
         with pytest.raises(ValueError):
             world.checkpointer.arm_crash(0)
@@ -426,7 +414,7 @@ class TestCheckpointer:
 class TestRecovery:
     def _journaled_run(self):
         """One completed task in a journaled world; returns its journal."""
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         journal = world.attach_journal()
         fid = client.register_function(_quick, "quick")
@@ -435,7 +423,7 @@ class TestRecovery:
 
     def test_replayed_task_never_reexecutes(self):
         journal, _ = self._journaled_run()
-        world2 = make_world()
+        world2 = World()
         client2, eid2 = cloud_endpoint(world2)
         world2.faas.enable_replay(ReplayIndex(journal))
         fid2 = client2.register_function(_quick, "quick")
@@ -450,7 +438,7 @@ class TestRecovery:
 
     def test_unjournaled_submission_executes_live(self):
         journal, _ = self._journaled_run()
-        world2 = make_world()
+        world2 = World()
         client2, eid2 = cloud_endpoint(world2)
         world2.faas.enable_replay(ReplayIndex(journal))
         fid2 = client2.register_function(_slow, "slow")  # never journaled
@@ -489,7 +477,7 @@ class TestRecovery:
         assert index.summary()["completed_success"] == 1
 
     def test_dead_lease_endpoint_recovers_offline(self):
-        world = make_world(offline_policy="queue")
+        world = World(offline_policy="queue")
         client, eid = cloud_endpoint(world)
         journal = Journal()
         journal.append(
@@ -525,7 +513,7 @@ class TestOnDiskCrashResume:
     CRASH_AT = 2 * TASKS + 2 * POOL
 
     def _world(self, path=None):
-        world = make_world()
+        world = World()
         if path is not None:
             world.attach_journal(
                 Journal(JsonlJournalStore(str(path)), batch_size=self.BATCH)

@@ -16,9 +16,8 @@ from repro.world import World
 
 
 @pytest.fixture
-def two_endpoints(quiet_world):
+def two_endpoints(world):
     """A client plus MEPs on two sites with different network latencies."""
-    world = quiet_world
     user = world.register_user(
         "alice", {"chameleon": "cc", "faster": "x-alice"}
     )
@@ -187,10 +186,6 @@ class TestFifoAcrossRetry:
 
         world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, seed=1)
-        )
-        original = world.site
-        world.site = (  # quiet site: no background queue load
-            lambda name, background_load=False: original(name, background_load)
         )
         plan = FaultPlan(seed=1).add(
             TaskError(at=0.0, site="chameleon", count=1, transient=True)

@@ -29,18 +29,6 @@ from repro.util.clock import SimClock
 from repro.world import World
 
 
-def make_world(**kwargs) -> World:
-    """A quiet world (no background queue load) with resilience knobs."""
-    world = World(**kwargs)
-    original = world.site
-
-    def site_no_load(name, background_load=False):
-        return original(name, background_load=background_load)
-
-    world.site = site_no_load  # type: ignore[method-assign]
-    return world
-
-
 def cloud_endpoint(world: World, site: str = "chameleon", account: str = "cc"):
     user = world.register_user("alice", {site: account})
     mep = common.deploy_site_mep(world, site)
@@ -65,7 +53,7 @@ def _drain(world: World) -> None:
 
 class TestRetries:
     def test_injected_transient_error_retried_to_success(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, seed=1)
         )
         plan = FaultPlan(seed=1).add(
@@ -84,7 +72,7 @@ class TestRetries:
         assert summary["by_error"] == {"InjectedTransientError": 1}
 
     def test_injected_permanent_error_is_not_retried(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, seed=1)
         )
         plan = FaultPlan(seed=1).add(
@@ -101,7 +89,7 @@ class TestRetries:
         assert world.faas.resilience.summary()["retries"] == 0
 
     def test_retry_and_backoff_events_feed_the_metrics_bridge(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, seed=1)
         )
         plan = FaultPlan(seed=1).add(
@@ -124,7 +112,7 @@ class TestRetries:
 
 class TestOfflinePolicies:
     def test_default_policy_rejects_at_the_front_door(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         world.faas.endpoint(eid).online = False
         fid = client.register_function(_quick, "quick")
@@ -134,10 +122,10 @@ class TestOfflinePolicies:
     @pytest.mark.parametrize("policy", ["fail", "drop"])
     def test_unknown_policy_is_refused(self, policy):
         with pytest.raises(ValueError, match=rf"raise\|queue, got '{policy}'"):
-            make_world(offline_policy=policy)
+            World(offline_policy=policy)
 
     def test_queue_policy_retries_until_the_endpoint_returns(self):
-        world = make_world(
+        world = World(
             offline_policy="queue",
             retry_policy=RetryPolicy(max_attempts=5, base_delay=4.0, seed=2),
         )
@@ -157,7 +145,7 @@ class TestOfflinePolicies:
         }
 
     def test_queue_policy_gives_up_when_the_endpoint_never_returns(self):
-        world = make_world(
+        world = World(
             offline_policy="queue",
             retry_policy=RetryPolicy(max_attempts=3, base_delay=1.0, seed=2),
         )
@@ -175,7 +163,7 @@ class TestOfflinePolicies:
 
 class TestInflightAborts:
     def test_mid_task_abort_is_retried(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=1.0, seed=1)
         )
         client, eid = cloud_endpoint(world)
@@ -195,7 +183,7 @@ class TestInflightAborts:
     def test_doomed_attempts_completion_is_discarded(self):
         """The aborted attempt's own completion event must not re-resolve
         the task after the retry already did (generation guard)."""
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=3, base_delay=1.0, seed=1)
         )
         client, eid = cloud_endpoint(world)
@@ -217,14 +205,14 @@ class TestInflightAborts:
         assert follow_up.result() == 42  # the lane is free again
 
     def test_fail_inflight_on_idle_lane_is_a_no_op(self):
-        world = make_world()
+        world = World()
         _, eid = cloud_endpoint(world)
         assert world.faas.fail_inflight(eid, EndpointOffline("x")) is None
 
 
 class TestTimeouts:
     def test_deadline_fails_the_task_and_is_never_retried(self):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(max_attempts=5, base_delay=1.0, seed=0)
         )
         client, eid = cloud_endpoint(world)
@@ -239,7 +227,7 @@ class TestTimeouts:
         assert summary["timeouts"] == 1 and summary["retries"] == 0
 
     def test_deadline_on_a_running_task_dispatches_the_next_one(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         fid = client.register_function(_slow, "slow")
         quick = client.register_function(_quick, "quick")
@@ -257,7 +245,7 @@ class TestTimeouts:
         assert first.completed_at == pytest.approx(second.started_at)
 
     def test_task_faster_than_its_deadline_is_unaffected(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         fid = client.register_function(_quick, "quick")
         future = client.submit(eid, fid, timeout=500.0)
@@ -269,7 +257,7 @@ class TestTimeouts:
         assert world.faas.resilience.summary()["timeouts"] == 0
 
     def test_zero_timeout_means_no_deadline(self):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         fid = client.register_function(_slow, "slow")
         assert client.submit(eid, fid, timeout=0).result() == "slow done"
@@ -279,7 +267,7 @@ class TestTimeouts:
         "timeout", [-1.0, float("inf"), float("nan")], ids=["neg", "inf", "nan"]
     )
     def test_invalid_timeout_is_refused_before_the_task_exists(self, timeout):
-        world = make_world()
+        world = World()
         client, eid = cloud_endpoint(world)
         fid = client.register_function(_quick, "quick")
         with pytest.raises(ValueError, match="timeout must be a finite"):
@@ -294,7 +282,7 @@ class TestTimeouts:
 
 class TestBreakersAndFailover:
     def _two_site_world(self, **kwargs):
-        world = make_world(**kwargs)
+        world = World(**kwargs)
         user = world.register_user(
             "alice", {"chameleon": "cc", "faster": "x-alice"}
         )
@@ -385,7 +373,7 @@ class TestChainOrder:
     retry)."""
 
     def test_lease_renews_before_breaker_closes(self):
-        world = make_world(
+        world = World(
             breaker=BreakerPolicy(failure_threshold=1, reset_timeout=10.0)
         )
         world.install_faults(
@@ -415,7 +403,7 @@ class TestChainOrder:
         ]
 
     def test_losing_hedge_arm_never_reaches_the_breaker(self):
-        world = make_world(
+        world = World(
             placement_policy="least-loaded",
             breaker=BreakerPolicy(failure_threshold=1, reset_timeout=3600.0),
             hedge=HedgeConfig(min_samples=2),
@@ -495,7 +483,7 @@ class TestSchedulerFaults:
     """Provision flakes and preemptions on a batch site's pilot."""
 
     def _faster(self, plan, max_attempts):
-        world = make_world(
+        world = World(
             retry_policy=RetryPolicy(
                 max_attempts=max_attempts, base_delay=2.0, seed=1
             )
@@ -543,7 +531,7 @@ class TestSchedulerFaults:
 
 class TestDeadlockDetection:
     def test_future_pending_with_drained_queue_reports_deadlock(self):
-        world = make_world()
+        world = World()
         cloud_endpoint(world)
         orphan = Future(world.clock)
         _drain(world)
@@ -554,7 +542,7 @@ class TestDeadlockDetection:
         """Give-up must resolve the future: a pending future over an empty
         event queue is the failure mode the resilience layer exists to
         avoid."""
-        world = make_world(
+        world = World(
             offline_policy="queue",
             retry_policy=RetryPolicy(max_attempts=2, base_delay=1.0, seed=0),
         )

@@ -111,14 +111,6 @@ class TestPolicies:
         assert decision.explicit
 
 
-def _quiet(world: World) -> World:
-    original = world.site
-    world.site = (
-        lambda name, background_load=False: original(name, background_load)
-    )
-    return world
-
-
 def _work(fctx, seconds):
     fctx.handle.compute(seconds)
     return seconds
@@ -131,13 +123,13 @@ def _pooled_run(policy: str):
     the resilience pipeline and the placement plane together — the
     decisions and the journal must still be bit-for-bit repeatable.
     """
-    world = _quiet(World(
+    world = World(
         placement_policy=policy,
         retry_policy=RetryPolicy(max_attempts=3, base_delay=2.0, seed=5),
         faults=FaultPlan(seed=5).add(
             TaskError(at=0.0, site="chameleon", count=1, transient=True)
         ),
-    ))
+    )
     journal = world.attach_journal()
     user = world.register_user("alice", {"chameleon": "cc"})
     world.deploy_mep_pool("chameleon", 2)
