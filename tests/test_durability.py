@@ -31,6 +31,7 @@ from repro.provenance.crate import ResearchCrate
 from repro.provenance.record import ExecutionRecord
 from repro.util.clock import SimClock
 from repro.util.events import EventLog
+from repro.util.serialization import serialize_call
 from repro.world import World
 
 
@@ -409,6 +410,60 @@ class TestCheckpointer:
         world.attach_journal()
         with pytest.raises(ValueError):
             world.checkpointer.arm_crash(0)
+
+
+def _mirror(fctx, *args, **kwargs):
+    fctx.handle.compute(1.0)
+    return {"args": args, "kwargs": kwargs}
+
+
+class TestJournaledPayload:
+    """The ``task.submitted`` record carries the payload text submit
+    rendered for the task's idempotency key, for every argument shape."""
+
+    CALLS = [
+        ((1, 2.5, "flat", None, True), {"n": 3}),
+        (("tuple", (1, (2, 3.0))), {}),
+        ((b"\x00\xffbytes",), {"blob": b"\x01"}),
+        (([1, {"b": [2, 3], "a": None}],), {"nested": {"z": [True, 1.5]}}),
+        (("naïve — 日本語 ☃",), {"ключ": "\U0001F600"}),
+        ((), {}),
+    ]
+
+    def _run(self, journal=None):
+        world = World()
+        client, eid = cloud_endpoint(world)
+        if journal is None:
+            journal = world.attach_journal()
+        else:
+            world.resume_from(journal)
+        fid = client.register_function(_mirror, "mirror")
+        futures = [
+            client.submit(eid, fid, *args, **kwargs) for args, kwargs in self.CALLS
+        ]
+        world.clock.run_until_idle()
+        return world, journal, futures
+
+    def test_submitted_payload_and_key_are_the_tasks(self):
+        world, journal, futures = self._run()
+        submitted = [r for r in journal.records if r.kind == "task.submitted"]
+        assert len(submitted) == len(self.CALLS)
+        for record, future in zip(submitted, futures):
+            task = world.faas.get_task(future.task_id)
+            assert record.data["task_id"] == task.task_id
+            assert record.data["payload"] == serialize_call(task.args, task.kwargs)
+            assert record.data["key"] == task.idempotency_key
+        journal.verify()
+
+    def test_resume_replays_the_journaled_successes(self):
+        _, journal, live = self._run()
+        resumed, _, replayed = self._run(journal)
+        assert [f.result() for f in replayed] == [f.result() for f in live]
+        assert [f.result()["args"] for f in live] == [a for a, _ in self.CALLS]
+        keys = {future.task.idempotency_key for future in replayed}
+        assert resumed.faas.replayed_keys == keys
+        assert not resumed.faas.executed_keys
+        assert all(future.task.replayed for future in replayed)
 
 
 class TestRecovery:
