@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import JournalCorrupt
 from repro.util.serialization import _PLAIN_TYPES, _canonical_dumps, serialize
@@ -39,10 +38,10 @@ from repro.util.serialization import _PLAIN_TYPES, _canonical_dumps, serialize
 GENESIS_HASH = "0" * 64
 
 
-class JournalRecord(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class JournalRecord:
     """One journaled state transition.
 
-    A tuple, because one is built on every append and every loaded line.
     ``data`` is canonical plain JSON with sorted keys: exactly what
     ``json.loads`` returns for the record's canonical text (tuples, bytes
     and sets in their :func:`serialize` encodings), so a record hashes
@@ -82,22 +81,6 @@ def _canonical(data: Dict[str, Any]) -> Tuple[str, bool]:
         ):
             return _canonical_dumps(json.loads(serialize(data))), False
     return _canonical_dumps(data), True
-
-
-def _kind_text(kind: str) -> str:
-    """``_canonical_dumps(kind)``: json writes a ``str`` through
-    ``encode_basestring_ascii``."""
-    if isinstance(kind, str):
-        return encode_basestring_ascii(kind)
-    return _canonical_dumps(kind)
-
-
-def _time_text(time: float) -> str:
-    """``_canonical_dumps(time)``: json writes a finite ``float`` as its
-    repr; ints, bools and non-finite floats keep the encoder."""
-    if type(time) is float and math.isfinite(time):
-        return repr(time)
-    return _canonical_dumps(time)
 
 
 def _chain_hash(
@@ -241,8 +224,8 @@ class Journal:
         clean = dict(sorted(data.items())) if flat else json.loads(text)
         seq = len(self._records)
         prev = self.head_hash
-        kind_text = _kind_text(kind)
-        time_text = _time_text(time)
+        kind_text = _canonical_dumps(kind)
+        time_text = _canonical_dumps(time)
         digest = _chain_hash(seq, time_text, kind_text, text, prev)
         record = JournalRecord(seq, time, kind, clean, prev, digest)
         self._records.append(record)
@@ -292,8 +275,8 @@ class Journal:
                 )
             expected = _chain_hash(
                 record.seq,
-                _time_text(record.time),
-                _kind_text(record.kind),
+                _canonical_dumps(record.time),
+                _canonical_dumps(record.kind),
                 _canonical(record.data)[0],
                 prev,
             )

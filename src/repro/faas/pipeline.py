@@ -43,7 +43,7 @@ The order is semantic, not cosmetic. Four rules fix it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set
 
 from repro.durability.lease import LeaseRegistry
@@ -358,13 +358,6 @@ class LeaseInterceptor:
             self.renew(entry.task.endpoint_id)
 
 
-def _with_fn(spec: FunctionSpec, fn) -> FunctionSpec:
-    """``dataclasses.replace(spec, fn=fn)``, built directly from the
-    spec's fields: ``replace`` introspects them on every journaled
-    dispatch."""
-    return FunctionSpec(**{**vars(spec), "fn": fn})
-
-
 class ReplayInterceptor:
     """Write-ahead journal recording and journaled-result replay."""
 
@@ -402,10 +395,10 @@ class ReplayInterceptor:
                 task_id=task.task_id, key=task.idempotency_key,
                 endpoint=task.endpoint_id, function=spec.name,
             )
-            return _with_fn(spec, self._replay_body(task, spec, record))
+            return replace(spec, fn=self._replay_body(task, spec, record))
         if self.journal is None and self.index is None:
             return spec
-        return _with_fn(spec, self._recording_body(task, spec))
+        return replace(spec, fn=self._recording_body(task, spec))
 
     def _replay_body(self, task: Task, spec: FunctionSpec, record: dict):
         clock = self.service.clock

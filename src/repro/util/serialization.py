@@ -15,7 +15,7 @@ from __future__ import annotations
 import base64
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any
 
 # Matches Globus Compute's documented task/result payload ceiling.
 DEFAULT_PAYLOAD_LIMIT = 10 * 1024 * 1024
@@ -50,41 +50,29 @@ def _decode_hook(obj: dict) -> Any:
     return obj
 
 
-def _canonical_encoder(make_encoder: Optional[Callable]) -> Callable[[Any], str]:
-    """The renderer of ``json.dumps(value, sort_keys=True)``'s text.
-
-    ``JSONEncoder.encode`` builds a C encoder and a closure on every call;
-    this builds the same C encoder (same separators, ``sort_keys``,
-    ``ensure_ascii`` and ``allow_nan``) once, from json's own
-    ``c_make_encoder``. It keeps no circular-reference markers: every
-    caller hands it acyclic data (flat data, the fresh copy :func:`_encode`
-    builds, ``json.loads`` output or a scalar), and a cyclic value recurses
-    forever in :func:`_encode` before it gets here. Without the C
-    accelerator (``make_encoder`` is ``None``) json's pure-Python encoder
-    writes the same text.
-    """
-    if make_encoder is None:
-        return json.JSONEncoder(sort_keys=True).encode
-    encoder = make_encoder(
-        None,  # markers: no circular-reference check
-        json.JSONEncoder().default,  # raises TypeError for non-data objects
-        encode_basestring_ascii,
-        None,  # indent
-        ": ",
-        ", ",
-        True,  # sort_keys
-        False,  # skipkeys
-        True,  # allow_nan
-    )
-    join = "".join
-
-    def canonical_dumps(value: Any) -> str:
-        return join(encoder(value, 0))
-
-    return canonical_dumps
+# The C encoder ``json.dumps(value, sort_keys=True)`` renders through (same
+# separators, ``sort_keys``, ``ensure_ascii`` and ``allow_nan``), built once:
+# ``JSONEncoder.encode`` builds it and a closure on every call. It keeps no
+# circular-reference markers: every caller hands it acyclic data (flat data,
+# the fresh copy :func:`_encode` builds, ``json.loads`` output or a scalar),
+# and a cyclic value recurses forever in :func:`_encode` before it gets here.
+_encoder = json.encoder.c_make_encoder(
+    None,  # markers: no circular-reference check
+    json.JSONEncoder().default,  # raises TypeError for non-data objects
+    encode_basestring_ascii,
+    None,  # indent
+    ": ",
+    ", ",
+    True,  # sort_keys
+    False,  # skipkeys
+    True,  # allow_nan
+)
 
 
-_canonical_dumps = _canonical_encoder(json.encoder.c_make_encoder)
+def _canonical_dumps(value: Any) -> str:
+    """The text of ``json.dumps(value, sort_keys=True)``."""
+    return "".join(_encoder(value, 0))  # the encoder returns chunks
+
 
 _PLAIN_TYPES = (str, int, float, bool)
 

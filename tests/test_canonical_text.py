@@ -2,9 +2,8 @@
 
 The canonical serializer renders through one C encoder built at import,
 with no circular-reference markers; ``serialize`` skips the encode walk
-for plain data, ``serialized_size`` measures ASCII text without a UTF-8
-copy, and the journal renders a record's kind and time without the
-encoder. Each must still produce the text of the reference definition,
+for plain data, and ``serialized_size`` measures ASCII text without a
+UTF-8 copy. Each must still produce the text of the reference definition,
 ``json.JSONEncoder(sort_keys=True).encode`` over ``_encode``'s walk, on
 every value hypothesis draws (derandomized, so tier-1 stays
 deterministic), and must fail the same way on a cyclic value.
@@ -14,21 +13,14 @@ from __future__ import annotations
 
 import json
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.durability.journal import (
-    Journal,
-    _kind_text,
-    _time_text,
-    record_hash,
-)
+from repro.durability.journal import Journal, record_hash
 from repro.util.serialization import (
     _canonical_dumps,
-    _canonical_encoder,
     _encode,
     serialize,
     serialize_call,
@@ -159,47 +151,20 @@ class TestSerializeAgainstReference:
         assert serialize_call(args, kwargs) == text
         assert serialize({"args": list(args), "kwargs": kwargs}) == text
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(value=_values)
-    @example(value=_SPECIAL_FLOATS)
-    @example(value={10: "ten", 9: "nine"})
-    def test_pure_python_fallback_writes_the_same_text(self, value):
-        encoded = _encode(value)
-        with mock.patch("json.encoder.c_make_encoder", None):
-            fallback = _canonical_encoder(None)
-            text = fallback(encoded)
-        assert text == _canonical_dumps(encoded) == reference(value)
-
 
 class TestJournalTexts:
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(kind=_texts)
-    @example(kind='a "quoted"\nkind')
-    @example(kind="task.submitted")
-    @example(kind="")
-    @example(kind="naïve \U0001F600 \ud800")
-    def test_kind_text(self, kind):
-        assert _kind_text(kind) == _reference_dumps(kind)
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(time=st.one_of(_floats, _ints, st.booleans()))
-    @example(time=3)
-    @example(time=True)
-    @example(time=False)
-    @example(time=2**70)
-    @example(time=float("nan"))
-    @example(time=float("inf"))
-    @example(time=float("-inf"))
-    @example(time=-0.0)
-    @example(time=5e-324)
-    @example(time=1e22)
-    def test_time_text(self, time):
-        assert _time_text(time) == _reference_dumps(time)
+    """``Journal.append`` hashes a chain text it assembles from the kind,
+    time and data texts; it must be the text ``record_hash`` defines."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(kind=_texts, time=st.one_of(_floats, _ints, st.booleans()))
     @example(kind='a "quoted"\nkind', time=8.0)
     @example(kind="intkeys", time=float("nan"))
+    @example(kind="task.submitted", time=3)
+    @example(kind="task.submitted", time=True)
+    @example(kind="naïve \U0001F600 \ud800", time=float("-inf"))
+    @example(kind="", time=-0.0)
+    @example(kind="x", time=2**70)
     def test_record_hash_is_the_reference_definition(self, kind, time):
         journal = Journal()
         record = journal.append(kind, time, {"n": 1})
