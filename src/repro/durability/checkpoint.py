@@ -116,8 +116,8 @@ class RunCheckpointer:
             return data
         data["key"] = task.idempotency_key
         if event.kind == "task.submitted":
-            # Enough to re-submit an orphan after recovery: the payload
-            # text submit rendered for the task's idempotency key.
+            # The payload text submit rendered for the task's idempotency
+            # key. Nothing reads it back yet: recovery only counts orphans.
             data["function_id"] = task.function_id
             data["payload"] = task.payload
         if terminal:
