@@ -271,15 +271,15 @@ class CorrectAction:
             fault_seed=injector.plan.seed if injector.active else None,
             fault_profile=injector.plan.profile if injector.active else "",
             task_attempts=task.attempts,
-            task_gave_up=getattr(task, "gave_up", False),
-            task_last_error=getattr(task, "last_error_kind", ""),
-            task_replayed=getattr(task, "replayed", False),
+            task_gave_up=task.gave_up,
+            task_last_error=task.last_error_kind,
+            task_replayed=task.replayed,
             routed_by=task.routed_by,
             pool=task.pool,
             queue_depth_at_route=task.queue_depth_at_route,
-            hedged=getattr(task, "hedged", False),
-            hedge_won=getattr(task, "hedge_won", False),
-            loser_endpoint=getattr(task, "loser_endpoint", ""),
+            hedged=task.hedged,
+            hedge_won=task.hedge_won,
+            loser_endpoint=task.loser_endpoint,
         )
         store.add(record)
 

@@ -3,8 +3,10 @@
 The checkpointer is a plain event subscriber — nothing in the engine or
 FaaS hot path calls it directly, so an unjournaled world behaves (and
 times) identically. It journals a fixed whitelist of event kinds on the
-submit → dispatch → execute → result path, enriching task events with the
-idempotency key, serialized result, and measured body cost straight from
+submit → dispatch → execute → result path. Each record holds its event's
+data plus only what recovery reads back and no event carries: the
+idempotency key of a submitted or completed task, and a completion's
+serialized result, measured body cost and exception text, straight from
 the live :class:`~repro.faas.task.Task` (events themselves stay lean).
 
 ``fault/*`` events are deliberately *excluded* from the whitelist:
@@ -20,29 +22,17 @@ to and including record N survives; nothing after it exists.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from repro.errors import CoordinatorCrashed, TaskFailed
+from repro.errors import CoordinatorCrashed
 from repro.util.events import Event, EventLog
 from repro.util.serialization import serialize
 
-# Task-lifecycle kinds enriched with the idempotency key.
-_TASK_KINDS = {
-    "task.submitted",
-    "task.dispatched",
-    "task.retry",
-    "task.failover",
-    "task.timeout",
-    "task.gave_up",
-    "task.replayed",
-    "task.completed",
-}
-
-# Kinds journaled verbatim (event data is already plain and complete).
+# Kinds journaled, besides every ``breaker.*`` and ``lease.*`` transition.
 # SLO alert transitions ride along so a replayed run's journal carries
 # the same alert timeline as the crashed one (worlds that never enable
 # observability emit none, keeping their crash offsets unchanged).
-_PLAIN_KINDS = {
+_JOURNALED_KINDS = frozenset({
     "run.created",
     "run.resumed",
     "job.finished",
@@ -54,20 +44,22 @@ _PLAIN_KINDS = {
     "endpoint.registered",
     "alert.fired",
     "alert.resolved",
-}
+    "task.submitted",
+    "task.dispatched",
+    "task.retry",
+    "task.failover",
+    "task.timeout",
+    "task.gave_up",
+    "task.replayed",
+    "task.completed",
+})
 
 
 class RunCheckpointer:
     """Subscribes to the event log and appends to the journal."""
 
-    def __init__(
-        self,
-        journal: Any,
-        events: EventLog,
-        faas: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, journal: Any, events: EventLog, faas: Any) -> None:
         self.journal = journal
-        self.events = events
         self.faas = faas
         self.crashed = False
         self._crash_at: Optional[int] = None
@@ -87,17 +79,24 @@ class RunCheckpointer:
         if self.crashed:
             return
         kind = event.kind
-        data: Optional[Dict[str, Any]] = None
-        if kind in _TASK_KINDS:
-            data = self._task_data(event, terminal=(kind == "task.completed"))
-        elif (
-            kind in _PLAIN_KINDS
+        if not (
+            kind in _JOURNALED_KINDS
             or kind.startswith("breaker.")
             or kind.startswith("lease.")
         ):
-            data = dict(event.data)
-        if data is None:
             return
+        data = dict(event.data)
+        if kind == "task.submitted":
+            data["key"] = self.faas.get_task(data["task_id"]).idempotency_key
+        elif kind == "task.completed":
+            # what replay returns; a failed task's only outcome is its
+            # exception text, since its result is empty
+            task = self.faas.get_task(data["task_id"])
+            data["key"] = task.idempotency_key
+            success = data["state"] == "SUCCESS"
+            data["result"] = serialize(task.result) if success else ""
+            data["body_elapsed"] = task.body_elapsed
+            data["exception"] = task.exception_text
         self.journal.append(kind, event.time, data)
         if self._crash_at is not None and len(self.journal) >= self._crash_at:
             self.crashed = True
@@ -105,29 +104,3 @@ class RunCheckpointer:
                 f"coordinator crashed after journal record {len(self.journal)}",
                 at_record=len(self.journal),
             )
-
-    def _task_data(self, event: Event, terminal: bool) -> Dict[str, Any]:
-        data = dict(event.data)
-        if self.faas is None:
-            return data
-        try:
-            task = self.faas.get_task(data.get("task_id", ""))
-        except TaskFailed:
-            return data
-        data["key"] = task.idempotency_key
-        if event.kind == "task.submitted":
-            # The payload text submit rendered for the task's idempotency
-            # key. Nothing reads it back yet: recovery only counts orphans.
-            data["function_id"] = task.function_id
-            data["payload"] = task.payload
-        if terminal:
-            state = getattr(task.state, "value", str(task.state))
-            data["result"] = serialize(task.result) if state == "SUCCESS" else ""
-            data["body_elapsed"] = task.body_elapsed
-            data["attempts"] = task.attempts
-            data["replayed"] = task.replayed
-            data["submitted_at"] = task.submitted_at
-            data["started_at"] = task.started_at
-            data["completed_at"] = task.completed_at
-            data["exception"] = task.exception_text or ""
-        return data

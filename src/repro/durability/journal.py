@@ -94,30 +94,35 @@ def _chain_hash(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def task_key(
-    function_name: str, args: tuple, kwargs: dict, occurrence: int = 0
-) -> str:
+def task_key(function_name: str, payload: str, occurrence: int = 0) -> str:
     """Idempotency key for one logical task submission.
 
-    ``occurrence`` disambiguates deliberate re-submissions of an identical
-    payload within a run (the Nth identical submit is a distinct logical
-    task; a *retry* of the same task is not).
-    """
-    payload = serialize({"args": list(args), "kwargs": dict(kwargs)})
-    return task_key_for_payload(function_name, payload, occurrence)
-
-
-def task_key_for_payload(
-    function_name: str, payload: str, occurrence: int = 0
-) -> str:
-    """:func:`task_key` for a payload already in canonical form.
-
-    The submit path serializes the payload once anyway (for the size
-    limit); this variant lets it reuse that string instead of
-    re-canonicalizing per key.
+    ``payload`` is the call's canonical text
+    (:func:`~repro.util.serialization.serialize_call`), which the submit
+    path renders once anyway for the size limit. ``occurrence``
+    disambiguates deliberate re-submissions of an identical payload
+    within a run (the Nth identical submit is a distinct logical task; a
+    *retry* of the same task is not).
     """
     material = "\x1f".join([function_name, payload, str(occurrence)])
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+_RECORD_FIELDS = frozenset(JournalRecord.__dataclass_fields__)
+
+
+def _loaded_record(index: int, entry: Any) -> JournalRecord:
+    """The record a parsed store entry holds, or :class:`JournalCorrupt`:
+    an entry must be an object with exactly the record's fields, and its
+    ``data`` an object, before the chain can be checked at all."""
+    if type(entry) is not dict or entry.keys() != _RECORD_FIELDS:
+        raise JournalCorrupt(
+            f"journal record {index}: not an object with exactly the fields "
+            + ", ".join(sorted(_RECORD_FIELDS))
+        )
+    if type(entry["data"]) is not dict:
+        raise JournalCorrupt(f"journal record {index}: data is not an object")
+    return JournalRecord(**entry)
 
 
 class MemoryJournalStore:
@@ -198,7 +203,8 @@ class Journal:
         self.batch_size = batch_size
         self._pending: List[str] = []
         self._records: List[JournalRecord] = [
-            JournalRecord(**entry) for entry in self.store.load()
+            _loaded_record(index, entry)
+            for index, entry in enumerate(self.store.load())
         ]
         if self._records:
             self.verify()
@@ -271,7 +277,7 @@ class Journal:
             if record.prev_hash != prev:
                 raise JournalCorrupt(
                     f"journal record {index}: chain broken "
-                    f"(prev {record.prev_hash[:12]} != {prev[:12]})"
+                    f"(prev {str(record.prev_hash)[:12]} != {prev[:12]})"
                 )
             expected = _chain_hash(
                 record.seq,

@@ -45,8 +45,10 @@ class ReplayIndex:
         self.head_hash = journal.head_hash
         self.crash_record = len(self.records)
         self.crash_time = self.records[-1].time if self.records else 0.0
-        # idempotency key -> journaled data (first submit / terminal completion)
-        self.submitted: Dict[str, Dict[str, Any]] = {}
+        # submitted idempotency keys in journal order (each key names one
+        # logical submission, so it is submitted once), and key ->
+        # journaled terminal completion
+        self.submitted: List[str] = []
         self.completed: Dict[str, Dict[str, Any]] = {}
         self._lease_expiry: Dict[str, float] = {}
         self._lease_dead: set = set()
@@ -54,7 +56,7 @@ class ReplayIndex:
             kind, data = record.kind, record.data
             key = data.get("key", "")
             if kind == "task.submitted" and key:
-                self.submitted.setdefault(key, dict(data))
+                self.submitted.append(key)
             elif kind == "task.completed" and key:
                 self.completed[key] = dict(data)
             elif kind in ("lease.granted", "lease.renewed"):
@@ -83,14 +85,10 @@ class ReplayIndex:
             return data
         return None
 
-    def orphans(self) -> Dict[str, Dict[str, Any]]:
+    def orphans(self) -> List[str]:
         """Submitted-but-never-terminal keys, in journal order — the
         in-flight work a crashed coordinator owes its users."""
-        return {
-            key: data
-            for key, data in self.submitted.items()
-            if key not in self.completed
-        }
+        return [key for key in self.submitted if key not in self.completed]
 
     def dead_endpoints(self) -> List[str]:
         """Endpoints whose leases had expired (or fired expiry) by the
@@ -100,12 +98,3 @@ class ReplayIndex:
             if endpoint not in dead and self.crash_time >= expires_at - 1e-9:
                 dead.add(endpoint)
         return sorted(dead)
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "records": self.crash_record,
-            "completed": len(self.completed),
-            "completed_success": len(self.completed_success()),
-            "orphans": len(self.orphans()),
-            "dead_endpoints": len(self.dead_endpoints()),
-        }

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.auth.oauth import AuthService, SCOPE_COMPUTE
-from repro.durability.journal import task_key_for_payload
+from repro.durability.journal import task_key
 from repro.durability.lease import LeaseRegistry
 from repro.durability.recovery import ReplayIndex
 from repro.errors import (
@@ -440,9 +440,9 @@ class FaaSService:
             raise EndpointOffline(f"endpoint {endpoint_id!r} is offline")
         # "queue": accept; the dispatch event re-checks liveness
 
-        # one canonical serialization serves the size limit, the
-        # idempotency key and the journal — serializing the payload is the
-        # single most expensive step of submit, so it happens exactly once
+        # one canonical serialization serves the size limit and the
+        # idempotency key — serializing the payload is the single most
+        # expensive step of submit, so it happens exactly once
         payload = serialize_call(args, kwargs)
         # UTF-8 spends at most 4 bytes per character, so payloads short
         # enough that 4x their length fits need no exact byte count
@@ -457,13 +457,13 @@ class FaaSService:
         # exactly-once identity: function + canonical payload + the Nth-
         # identical-submission counter; endpoint-independent, so a failed-
         # over or re-routed task keeps its key
-        first_key = task_key_for_payload(spec.name, payload, 0)
+        first_key = task_key(spec.name, payload)
         occurrence = self._idem_occurrences.get(first_key, 0)
         self._idem_occurrences[first_key] = occurrence + 1
         idem_key = (
             first_key
             if occurrence == 0
-            else task_key_for_payload(spec.name, payload, occurrence)
+            else task_key(spec.name, payload, occurrence)
         )
 
         task = Task(
@@ -475,7 +475,6 @@ class FaaSService:
             kwargs=kwargs,
             submitted_at=self.clock.now,
             idempotency_key=idem_key,
-            payload=payload,
             routed_by=route.routed_by,
             pool=route.pool,
             queue_depth_at_route=route.queue_depth_at_route,

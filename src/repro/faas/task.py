@@ -49,14 +49,11 @@ class Task:
     attempts: int = 1
     error_retryable: bool = False
     original_endpoint_id: str = ""
-    # durability: the endpoint-independent exactly-once key and the
-    # canonical payload text it was derived from (rendered once at
-    # submit, journaled as is), the measured cost of the successful body
-    # alone (excludes provisioning and queue wait, unlike
-    # execution_time), and whether this task's body was replayed from a
-    # write-ahead journal instead of executed
+    # durability: the endpoint-independent exactly-once key, the
+    # measured cost of the successful body alone (excludes provisioning
+    # and queue wait, unlike execution_time), and whether this task's
+    # body was replayed from a write-ahead journal instead of executed
     idempotency_key: str = ""
-    payload: str = ""
     body_elapsed: Optional[float] = None
     replayed: bool = False
     # placement: which policy routed this task, through which pool, and

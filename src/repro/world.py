@@ -203,9 +203,7 @@ class World:
         if self.checkpointer is not None:
             raise ValueError("a journal is already attached to this world")
         self.journal = journal if journal is not None else Journal()
-        self.checkpointer = RunCheckpointer(
-            self.journal, self.events, faas=self.faas
-        )
+        self.checkpointer = RunCheckpointer(self.journal, self.events, self.faas)
         self.faas.attach_journal(self.journal)
         return self.journal
 

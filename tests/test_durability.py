@@ -8,6 +8,7 @@ riding in the same PR: ``EventLog.replay_to``, the removal of the old
 recovery provenance fields.
 """
 
+import json
 import warnings
 
 import pytest
@@ -31,7 +32,7 @@ from repro.provenance.crate import ResearchCrate
 from repro.provenance.record import ExecutionRecord
 from repro.util.clock import SimClock
 from repro.util.events import EventLog
-from repro.util.serialization import serialize_call
+from repro.util.serialization import serialize, serialize_call
 from repro.world import World
 
 
@@ -143,6 +144,34 @@ class TestJournal:
         shorter.verify()
         assert shorter.head_hash == journal.records[2].hash
 
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda entry: {k: v for k, v in entry.items() if k != "prev_hash"},
+            lambda entry: [1, 2],
+            lambda entry: 42,
+            lambda entry: {**entry, "extra": 1},
+            lambda entry: {**entry, "data": [entry["data"]]},
+            lambda entry: {**entry, "prev_hash": 5},
+        ],
+        ids=[
+            "missing-field", "list", "number", "extra-field", "list-data",
+            "number-prev-hash",
+        ],
+    )
+    def test_parsed_non_record_line_is_journal_corrupt(
+        self, tmp_path, malform
+    ):
+        path = tmp_path / "run.journal"
+        journal = Journal.open(str(path))
+        for i in range(3):
+            journal.append("task.submitted", float(i), {"key": f"k{i}", "n": i})
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps(malform(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalCorrupt, match="journal record 1"):
+            Journal.open(str(path))
+
     def test_empty_jsonl_journal_loads(self, tmp_path):
         journal = Journal.open(str(tmp_path / "missing.journal"))
         assert len(journal) == 0
@@ -151,20 +180,20 @@ class TestJournal:
 
 class TestTaskKey:
     def test_deterministic_and_payload_sensitive(self):
-        a = task_key("fn", (1, 2), {"x": "y"})
-        assert a == task_key("fn", (1, 2), {"x": "y"})
-        assert a != task_key("fn", (1, 3), {"x": "y"})
-        assert a != task_key("other", (1, 2), {"x": "y"})
+        a = task_key("fn", serialize_call((1, 2), {"x": "y"}))
+        assert a == task_key("fn", serialize_call((1, 2), {"x": "y"}))
+        assert a != task_key("fn", serialize_call((1, 3), {"x": "y"}))
+        assert a != task_key("other", serialize_call((1, 2), {"x": "y"}))
 
     def test_occurrence_disambiguates_identical_submissions(self):
-        first = task_key("fn", (), {}, occurrence=0)
-        second = task_key("fn", (), {}, occurrence=1)
+        first = task_key("fn", serialize_call((), {}), occurrence=0)
+        second = task_key("fn", serialize_call((), {}), occurrence=1)
         assert first != second
 
     def test_key_is_endpoint_independent(self):
         # no endpoint enters the key material: a failover keeps the key
-        assert task_key("fn", ("payload",), {}) == task_key(
-            "fn", ("payload",), {}
+        assert task_key("fn", serialize_call(("payload",), {})) == task_key(
+            "fn", serialize_call(("payload",), {})
         )
 
 
@@ -358,6 +387,33 @@ class TestServiceLeases:
         assert task.endpoint_id == fallback.endpoint_id
 
 
+# Every journaled task kind, and the fields its record adds to its event's
+# data: only what recovery reads back (the others add nothing)
+TASK_KINDS = (
+    "task.submitted", "task.dispatched", "task.retry", "task.failover",
+    "task.timeout", "task.gave_up", "task.replayed", "task.completed",
+)
+RECOVERY_FIELDS = {
+    "task.submitted": {"key"},
+    "task.completed": {"key", "result", "body_elapsed", "exception"},
+}
+
+
+def task_record_kinds(world: World, journal: Journal) -> set:
+    """Check that each journaled task record holds its event's data plus
+    exactly its kind's recovery fields; return the kinds seen."""
+    records = [r for r in journal.records if r.kind in TASK_KINDS]
+    events = [e for e in world.events if e.kind in TASK_KINDS]
+    assert [r.kind for r in records] == [e.kind for e in events]
+    for record, event in zip(records, events):
+        assert record.time == event.time
+        assert {k: record.data[k] for k in event.data} == event.data
+        assert set(record.data) - set(event.data) == RECOVERY_FIELDS.get(
+            record.kind, set()
+        )
+    return {r.kind for r in records}
+
+
 class TestCheckpointer:
     def test_lifecycle_events_are_journaled_with_keys(self):
         world = World()
@@ -378,6 +434,42 @@ class TestCheckpointer:
         assert completed.data["body_elapsed"] > 0.0
         # endpoint registration happened before attach; catch-up found it
         assert "endpoint.registered" in kinds
+
+    def test_resilience_records_add_nothing_to_their_events(self):
+        world = World(
+            offline_policy="queue",
+            retry_policy=RetryPolicy(max_attempts=2, base_delay=1.0, seed=3),
+            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=3600.0),
+        )
+        user = world.register_user(
+            "alice", {"chameleon": "cc", "faster": "x-alice"}
+        )
+        primary = common.deploy_site_mep(world, "faster", login_only=True)
+        fallback = common.deploy_site_mep(world, "chameleon")
+        client = ComputeClient(world.faas, user.client_id, user.client_secret)
+        journal = world.attach_journal()
+        fid = client.register_function(_quick, "quick")
+        world.faas.endpoint(primary.endpoint_id).online = False
+        # offline with no fallback: one retry, then the task gives up
+        gave_up = client.submit(primary.endpoint_id, fid)
+        assert gave_up.exception() is not None
+        # the tripped breaker reroutes the next submit to the fallback
+        world.faas.declare_fallback(primary.endpoint_id, fallback.endpoint_id)
+        assert client.submit(primary.endpoint_id, fid).result() == 42
+        timed_out = client.submit(fallback.endpoint_id, fid, timeout=0.5)
+        assert timed_out.exception() is not None
+        assert task_record_kinds(world, journal) == set(TASK_KINDS) - {
+            "task.replayed"
+        }
+        failed = [
+            r.data for r in journal.records
+            if r.kind == "task.completed" and r.data["state"] == "FAILED"
+        ]
+        assert len(failed) == 2
+        for data in failed:
+            assert data["result"] == ""
+            task = world.faas.get_task(data["task_id"])
+            assert data["exception"] == task.exception_text != ""
 
     def test_attach_twice_is_an_error(self):
         world = World()
@@ -418,8 +510,9 @@ def _mirror(fctx, *args, **kwargs):
 
 
 class TestJournaledPayload:
-    """The ``task.submitted`` record carries the payload text submit
-    rendered for the task's idempotency key, for every argument shape."""
+    """Journaled runs over six argument shapes: each task record holds
+    its event's data plus what recovery reads, and a resume replays
+    every journaled success."""
 
     CALLS = [
         ((1, 2.5, "flat", None, True), {"n": 3}),
@@ -431,12 +524,12 @@ class TestJournaledPayload:
     ]
 
     def _run(self, journal=None):
+        """A journaled run of the calls, resumed from ``journal`` if given."""
         world = World()
         client, eid = cloud_endpoint(world)
-        if journal is None:
-            journal = world.attach_journal()
-        else:
+        if journal is not None:
             world.resume_from(journal)
+        journal = world.attach_journal()
         fid = client.register_function(_mirror, "mirror")
         futures = [
             client.submit(eid, fid, *args, **kwargs) for args, kwargs in self.CALLS
@@ -444,16 +537,61 @@ class TestJournaledPayload:
         world.clock.run_until_idle()
         return world, journal, futures
 
-    def test_submitted_payload_and_key_are_the_tasks(self):
+    def test_task_records_hold_event_data_and_recovery_fields(self):
         world, journal, futures = self._run()
-        submitted = [r for r in journal.records if r.kind == "task.submitted"]
-        assert len(submitted) == len(self.CALLS)
-        for record, future in zip(submitted, futures):
-            task = world.faas.get_task(future.task_id)
-            assert record.data["task_id"] == task.task_id
-            assert record.data["payload"] == serialize_call(task.args, task.kwargs)
-            assert record.data["key"] == task.idempotency_key
+        assert task_record_kinds(world, journal) == {
+            "task.submitted", "task.dispatched", "task.completed",
+        }
+        keys = [
+            task_key("mirror", serialize_call(args, kwargs))
+            for args, kwargs in self.CALLS
+        ]
+        assert keys == [future.task.idempotency_key for future in futures]
+        submitted = [r.data for r in journal.records if r.kind == "task.submitted"]
+        assert [data["key"] for data in submitted] == keys
+        completed = {
+            r.data["task_id"]: r.data
+            for r in journal.records if r.kind == "task.completed"
+        }
+        for future, key in zip(futures, keys):
+            data = completed[future.task_id]
+            assert data["key"] == key
+            assert data["result"] == serialize(future.result())
+            assert data["body_elapsed"] == future.task.body_elapsed > 0.0
+            assert data["exception"] == ""
         journal.verify()
+
+    def test_resumed_records_follow_the_same_rule(self):
+        _, journal, _ = self._run()
+        resumed, resumed_journal, _ = self._run(journal)
+        assert task_record_kinds(resumed, resumed_journal) == {
+            "task.submitted", "task.dispatched", "task.replayed",
+            "task.completed",
+        }
+
+    def test_journal_with_the_older_task_fields_still_resumes(self):
+        # records as journaled before they held only what recovery reads
+        _, journal, live = self._run()
+        keys = {
+            r.data["task_id"]: r.data["key"]
+            for r in journal.records if r.kind == "task.submitted"
+        }
+        older = Journal()
+        for record in journal.records:
+            data = dict(record.data)
+            if record.kind in TASK_KINDS:
+                data["key"] = keys[data["task_id"]]
+            if record.kind == "task.submitted":
+                data.update(function_id="fn-id", payload="{}")
+            elif record.kind == "task.completed":
+                data.update(
+                    attempts=1, replayed=False, submitted_at=0.0,
+                    started_at=0.0, completed_at=record.time,
+                )
+            older.append(record.kind, record.time, data)
+        resumed, _, replayed = self._run(Journal(older.store))
+        assert [f.result() for f in replayed] == [f.result() for f in live]
+        assert not resumed.faas.executed_keys
 
     def test_resume_replays_the_journaled_successes(self):
         _, journal, live = self._run()
@@ -527,9 +665,9 @@ class TestRecovery:
             "task.completed", 12.0, {"key": "k2", "state": "SUCCESS"}
         )
         index = ReplayIndex(journal)
-        assert list(index.orphans()) == ["k1"]
+        assert index.orphans() == ["k1"]
         assert index.dead_endpoints() == ["ep-dead"]
-        assert index.summary()["completed_success"] == 1
+        assert list(index.completed_success()) == ["k2"]
 
     def test_dead_lease_endpoint_recovers_offline(self):
         world = World(offline_policy="queue")

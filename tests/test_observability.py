@@ -357,10 +357,27 @@ class TestChromeTraceGate:
 
 class TestAlertEventsAreJournaled:
     def test_alert_kinds_serialize_plainly(self):
-        from repro.durability.checkpoint import _PLAIN_KINDS
+        from repro.world import World
 
-        assert "alert.fired" in _PLAIN_KINDS
-        assert "alert.resolved" in _PLAIN_KINDS
+        world = World()
+        journal = world.attach_journal()
+        store = TimeSeriesStore(window=60.0)
+        SLOEngine(
+            store=store, events=world.events,
+            rules=[_ratio_rule(threshold=0.1, fast=60.0, slow=240.0)],
+        ).install()
+        store.counter("all").inc(10.0, 10.0)
+        store.counter("err").inc(10.0, 10.0)
+        store.advance_to(10.0)
+        store.advance_to(60.0)
+        store.counter("all").inc(70.0, 100.0)
+        store.advance_to(120.0)
+        alerts = [e for e in world.events if e.kind.startswith("alert.")]
+        assert [e.kind for e in alerts] == ["alert.fired", "alert.resolved"]
+        records = [r for r in journal.records if r.kind.startswith("alert.")]
+        assert [(r.time, r.kind, r.data) for r in records] == [
+            (e.time, e.kind, e.data) for e in alerts
+        ]
 
 
 @pytest.fixture(scope="module")
