@@ -10,9 +10,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import chain
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Mapping, Sequence, Set, Union
 
 from repro.apps.kamping.mpi import SimMPI
+
+# neighbours by node id: make_random_graph's dict, or a sequence whose
+# item ``u`` holds node ``u``'s neighbours
+Adjacency = Union[Mapping[int, Sequence[int]], Sequence[Sequence[int]]]
 
 
 def sample_sort(
@@ -88,7 +92,7 @@ def make_random_graph(nodes: int, degree: int, seed: int = 0) -> Dict[int, List[
 def distributed_bfs(
     comm: SimMPI,
     bindings,
-    graph: Dict[int, List[int]],
+    graph: Adjacency,
     source: int = 0,
 ) -> Dict[int, int]:
     """Level-synchronous BFS with the graph partitioned by ``node % p``.
@@ -125,7 +129,7 @@ def distributed_bfs(
     return distances
 
 
-def sequential_bfs(graph: Dict[int, List[int]], source: int = 0) -> Dict[int, int]:
+def sequential_bfs(graph: Adjacency, source: int = 0) -> Dict[int, int]:
     """Reference BFS for verification."""
     distances = {source: 0}
     frontier = [source]

@@ -1,7 +1,7 @@
 """Recovery: index a crash journal for replay, restore remote side effects.
 
 :class:`ReplayIndex` is the read side of the write-ahead journal — it
-verifies the chain once and organises records into the questions recovery
+verifies the chain and organises records into the questions recovery
 asks: which idempotency keys completed successfully (never re-execute
 those; replay their recorded results), which were submitted but never
 finished (orphans, safe to re-submit), which journaled steps may be
@@ -35,9 +35,11 @@ def restorer_for(function_name: str) -> Optional[Callable[..., None]]:
 class ReplayIndex:
     """A verified journal, indexed by what recovery needs to know.
 
-    Building the index is a resume's one walk of the hash chain: the rest
-    of the resume (the engine's step ledger) reads the verified
-    ``records`` kept here instead of replaying the journal again.
+    Building the index walks the hash chain through ``journal.replay()``.
+    A journal loaded from a store (``Journal.open``, ``truncated``) was
+    verified when it was built, so a disk resume walks the chain twice.
+    The rest of the resume (the engine's step ledger) reads the verified
+    ``records`` kept here instead of replaying the journal a third time.
     """
 
     def __init__(self, journal: Any) -> None:

@@ -217,7 +217,8 @@ class World:
         """
         from repro.durability import ReplayIndex
 
-        index = ReplayIndex(journal)  # the resume's one chain walk
+        # verifies the chain again: loading the journal verified it once
+        index = ReplayIndex(journal)
         self.faas.enable_replay(index)
         self.engine.resume_run(index.records)
         self.resumed_from = index.head_hash
