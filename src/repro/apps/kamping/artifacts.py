@@ -91,23 +91,31 @@ def ae_unit_tests(session, args: List[str]) -> CommandResult:
     session.handle.compute(30.0)
     comm = SimMPI(_AE_RANKS)
     bindings = KampingBindings(comm)
-    checks = 0
     per_rank = [[rank * 10 + i for i in range(rank + 1)] for rank in range(_AE_RANKS)]
-    gathered = bindings.allgatherv(per_rank)
     expected = [v for chunk in per_rank for v in chunk]
-    assert all(result == expected for result in gathered)
-    checks += 1
-    reduced = bindings.allreduce(list(range(_AE_RANKS)), op=lambda a, b: a + b)
-    assert reduced == [sum(range(_AE_RANKS))] * _AE_RANKS
-    checks += 1
     sends = [[[src, dst] for dst in range(_AE_RANKS)] for src in range(_AE_RANKS)]
-    received = comm.alltoall(sends)
-    assert received[3][5] == [5, 3]
-    checks += 1
-    return CommandResult.success(
-        f"[AE] unit tests: {checks} collective checks passed on "
-        f"{_AE_RANKS} ranks"
-    )
+    checks = {
+        "allgatherv": all(
+            result == expected for result in bindings.allgatherv(per_rank)
+        ),
+        "allreduce": bindings.allreduce(
+            list(range(_AE_RANKS)), op=lambda a, b: a + b
+        ) == [sum(range(_AE_RANKS))] * _AE_RANKS,
+        "alltoall": comm.alltoall(sends)[3][5] == [5, 3],
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if not failed:
+        return CommandResult.success(
+            f"[AE] unit tests: {len(checks)} collective checks passed on "
+            f"{_AE_RANKS} ranks"
+        )
+    lines = [
+        f"[AE] unit tests: {len(checks) - len(failed)} of {len(checks)} "
+        f"collective checks passed on {_AE_RANKS} ranks"
+    ]
+    lines.extend(f"[AE] {name}: INCORRECT RESULT" for name in failed)
+    lines.append("[AE] verdict: FAIL")
+    return CommandResult.failure("\n".join(lines), exit_code=1)
 
 
 def ae_allgatherv_bench(session, args: List[str]) -> CommandResult:

@@ -36,7 +36,8 @@ def _test_local_submit(ctx: SuiteContext) -> None:
     executor = LocalJobExecutor(ctx.handle)
     job = PsiJJob(JobSpec(executable="echo", arguments=["psij"], work=0.5))
     executor.submit(job)
-    assert executor.wait(job) is JobStatus.COMPLETED
+    status = executor.wait(job)
+    assert status is JobStatus.COMPLETED
     assert job.exit_code == 0
 
 
@@ -61,7 +62,8 @@ def _test_failed_job_status(ctx: SuiteContext) -> None:
     executor = LocalJobExecutor(ctx.handle)
     job = PsiJJob(JobSpec(executable="false", work=0.2))
     executor.submit(job)
-    assert executor.wait(job) is JobStatus.FAILED
+    status = executor.wait(job)
+    assert status is JobStatus.FAILED
     assert job.exit_code != 0
 
 
@@ -87,7 +89,8 @@ def _test_slurm_roundtrip(ctx: SuiteContext) -> None:
     )
     executor.submit(job)
     assert job.status is JobStatus.QUEUED
-    assert executor.wait(job) is JobStatus.COMPLETED
+    status = executor.wait(job)
+    assert status is JobStatus.COMPLETED
 
 
 def _test_slurm_cancel(ctx: SuiteContext) -> None:

@@ -4,14 +4,16 @@ The reproducibility claim, applied to the harness itself: a run that
 dies halfway must *resume* — replaying journaled work instead of redoing
 it — and produce byte-identical outputs to a run that never crashed.
 
-* :mod:`~repro.durability.journal` — hash-chained append/replay records
-  over in-memory or JSONL stores, plus :func:`task_key`, the idempotency
-  key over a function name and its call's canonical payload text.
+* :mod:`~repro.durability.journal` — hash-chained append-only records
+  over in-memory or JSONL stores, verified once on load, plus
+  :func:`task_key`, the idempotency key over a function name and its
+  call's canonical payload text.
 * :mod:`~repro.durability.checkpoint` — the EventLog subscriber that
   journals every lifecycle transition with the fields recovery reads
   (and hosts the crash point).
-* :mod:`~repro.durability.recovery` — the journal's read side: replay
-  index, orphan detection, dead-lease detection, restorer registry.
+* :mod:`~repro.durability.recovery` — the journal's read side and the
+  only reader of task completions: replay index, orphan detection,
+  dead-lease detection, restorer registry.
 * :mod:`~repro.durability.lease` — TTL liveness leases renewed by task
   activity.
 """

@@ -4,9 +4,13 @@ A :class:`Journal` is an append-only sequence of :class:`JournalRecord`
 entries. Each record carries a SHA-256 over its own canonicalized content
 *and* the previous record's hash, so any tampering, truncation inside a
 record, or bit-rot breaks the chain and :meth:`Journal.verify` raises
-:class:`~repro.errors.JournalCorrupt` before recovery can replay garbage
-(truncating whole records from the tail — what a crash actually does —
-leaves a shorter but still valid chain).
+:class:`~repro.errors.JournalCorrupt` (truncating whole records from the
+tail — what a crash actually does — leaves a shorter but still valid
+chain). The chain is walked once per journal, where records enter from
+outside the program: a journal built from a store verifies what it
+loaded before it exists, and :meth:`Journal.append` hashes each record
+it adds. So ``records`` is always a verified chain, and recovery reads
+it without walking it again.
 
 :meth:`Journal.append` renders a record's ``data`` to canonical text
 exactly once; the SHA-256 chain payload, the store's JSONL line and the
@@ -182,7 +186,7 @@ class JsonlJournalStore:
 
 
 class Journal:
-    """Append/replay over a pluggable store, verified on load and demand.
+    """An append-only chain over a pluggable store, verified on load.
 
     ``batch_size`` buffers store writes: appended records reach the
     backing store in batches of ``batch_size`` — one ``write_lines`` call
@@ -292,11 +296,6 @@ class Journal:
                     "mismatch — record was modified after being written"
                 )
             prev = record.hash
-
-    def replay(self) -> List[JournalRecord]:
-        """Verified records, oldest first — the only safe read for recovery."""
-        self.verify()
-        return self.records
 
     def truncated(self, count: int) -> "Journal":
         """An in-memory journal holding only the first ``count`` records —

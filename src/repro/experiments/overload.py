@@ -218,20 +218,9 @@ class OverloadRunResult:
 
 
 def run_overload(
-    params: OverloadParams,
-    protection: bool = True,
-    config: Optional[OverloadConfig] = None,
-    journal=None,
-    replay_journal=None,
+    params: OverloadParams, protection: bool = True
 ) -> OverloadRunResult:
-    """One world, one seed, the full multi-tenant workload.
-
-    ``journal`` attaches a write-ahead journal (for crash/replay tests);
-    ``replay_journal`` replays journaled successes instead of executing
-    them — the PR 4 resume path, used to prove shed counts reproduce.
-    """
-    if protection and config is None:
-        config = overload_config(params)
+    """One world, one seed, the full multi-tenant workload."""
     world = World(
         telemetry=True,
         streaming_metrics=True,
@@ -241,11 +230,9 @@ def run_overload(
         # cloud's front door — outages must not raise out of submit
         offline_policy="queue",
         placement_policy="least-loaded",
-        overload=config if protection else None,
+        overload=overload_config(params) if protection else None,
     )
     world.enable_observability(rules=overload_slo_pack())
-    if journal is not None:
-        world.attach_journal(journal)
 
     clients: List[ComputeClient] = []
     reports: List[TenantReport] = []
@@ -258,10 +245,6 @@ def run_overload(
             TenantReport(login=login, urn=client.identity_urn, hot=index == 0)
         )
     common.deploy_site_mep_pool(world, OVERLOAD_SITE, size=params.endpoints)
-    if replay_journal is not None:
-        from repro.durability import ReplayIndex
-
-        world.faas.enable_replay(ReplayIndex(replay_journal))
     function_ids = [
         client.register_function(common.virtual_work, f"overload-work-{index}")
         for index, client in enumerate(clients)

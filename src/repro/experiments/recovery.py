@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.reporting import parse_pytest_stdout
 from repro.experiments.fig4_parsldock import FIG4_SITES
 from repro.faults.plan import CoordinatorCrash, FaultPlan
-from repro.suites import execute_suite, prepare_suite
+from repro.suites import PreparedSuite, execute_suite, prepare_suite
 
 RECOVERY_SUITE = "fig4"
 # generous TTL: leases are on to prove the machinery coexists with
@@ -44,23 +44,13 @@ class CrashPointError(ValueError):
     """A ``crash_at`` that names no point of the baseline journal."""
 
 
-def _execute(
-    crash_at: Optional[int] = None,
-    resume_journal=None,
-    telemetry: bool = True,
-    seed: int = 0,
-    journaled: bool = True,
-):
-    """One journaled suite run; returns (world, run, journal, crashed).
+def _prepare(telemetry: bool) -> PreparedSuite:
+    """The recovery suite, ready to run and not yet journaled.
 
     The suite's per-site jobs are augmented with a dependent
     ``summarize`` job that needs every test job, so with concurrent jobs
     it forms a second wave — which is what makes the ``between-waves``
-    crash point meaningful. ``crash_at`` arms a :class:`CoordinatorCrash`
-    at that journal record; ``resume_journal`` boots the world in
-    recovery mode from a crashed run's journal. Setup (users, sites,
-    endpoints) is identical in every mode, so journal offsets line up
-    across baseline, crash, and resume.
+    crash point meaningful.
     """
     prepared = prepare_suite(
         RECOVERY_SUITE,
@@ -69,17 +59,31 @@ def _execute(
         gated=False,
         name_override="ParslDock crash-safe CI",
     )
-    world = prepared.world
     prepared.builder.add_job(
         "summarize",
         steps=[{"name": "Summarize", "run": "echo all sites done"}],
         needs=list(prepared.mat.jobs),
     )
+    return prepared
 
-    journal = None
-    if journaled:
-        journal = world.attach_journal()
-        world.faas.enable_leases(ttl=LEASE_TTL)
+
+def _execute(
+    crash_at: Optional[int] = None,
+    resume_journal=None,
+    telemetry: bool = True,
+    seed: int = 0,
+):
+    """One journaled suite run; returns (world, run, journal, crashed).
+
+    ``crash_at`` arms a :class:`CoordinatorCrash` at that journal record;
+    ``resume_journal`` boots the world in recovery mode from a crashed
+    run's journal. Setup (users, sites, endpoints) is identical in every
+    mode, so journal offsets line up across baseline, crash, and resume.
+    """
+    prepared = _prepare(telemetry)
+    world = prepared.world
+    journal = world.attach_journal()
+    world.faas.enable_leases(ttl=LEASE_TTL)
     if resume_journal is not None:
         world.resume_from(resume_journal)
     if crash_at is not None:

@@ -151,10 +151,11 @@ class EndpointDispatcher:
     def retract(self, entry: PendingTask) -> bool:
         """Withdraw an entry without completing it; True if it was running.
 
-        The cancellation primitive, used for caller cancellation and for
-        the losing arm of a hedge: unlike :meth:`abort_inflight` *no*
-        outcome flows through the pipeline, so nothing retries a
-        retraction. A lane it frees goes to the next queued entry at once.
+        The hedge plane's retraction of a losing or superseded arm:
+        unlike :meth:`abort_inflight` *no* outcome flows through the
+        pipeline, so nothing retries a retraction. A lane it frees goes
+        to the next queued entry at once, before the caller has settled
+        the retracted task.
         """
         running = self.withdraw(entry)
         if running:

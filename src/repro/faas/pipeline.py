@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Set
 
 from repro.durability.lease import LeaseRegistry
-from repro.durability.recovery import ReplayIndex, restorer_for
+from repro.durability.recovery import JournaledResult, ReplayIndex, restorer_for
 from repro.errors import (
     CircuitOpen,
     EndpointOffline,
@@ -57,7 +57,6 @@ from repro.errors import (
 from repro.faas.functions import FunctionSpec
 from repro.faas.task import Task, TaskState
 from repro.faults.resilience import CircuitBreaker
-from repro.util.serialization import deserialize
 
 
 @dataclass(slots=True)
@@ -384,10 +383,10 @@ class ReplayInterceptor:
         """
         task = entry.task
         spec = entry.spec
-        record = None
+        journaled = None
         if self.index is not None:
-            record = self.index.replay_record(task.idempotency_key)
-        if record is not None:
+            journaled = self.index.journaled_result(task.idempotency_key)
+        if journaled is not None:
             task.replayed = True
             self.replayed_keys.add(task.idempotency_key)
             self.service.events.emit(
@@ -395,23 +394,25 @@ class ReplayInterceptor:
                 task_id=task.task_id, key=task.idempotency_key,
                 endpoint=task.endpoint_id, function=spec.name,
             )
-            return replace(spec, fn=self._replay_body(task, spec, record))
+            return replace(spec, fn=self._replay_body(task, spec, journaled))
         if self.journal is None and self.index is None:
             return spec
         return replace(spec, fn=self._recording_body(task, spec))
 
-    def _replay_body(self, task: Task, spec: FunctionSpec, record: dict):
+    def _replay_body(
+        self, task: Task, spec: FunctionSpec, journaled: JournaledResult
+    ):
         clock = self.service.clock
 
         def body(fctx, *args, **kwargs):
-            result = deserialize(record.get("result", "null"))
+            result = journaled.value()
             started = clock.now
             restorer = restorer_for(spec.name)
             if restorer is not None:
                 restorer(fctx, result, *args, **kwargs)
             # whatever time the restorer consumed counts toward the
             # journaled body cost — total advance equals the original
-            elapsed = float(record.get("body_elapsed") or 0.0)
+            elapsed = journaled.body_elapsed
             remaining = elapsed - (clock.now - started)
             if remaining > 1e-12:
                 clock.advance(remaining)

@@ -355,11 +355,14 @@ class FaaSService:
         """Retract a live task; ``False`` if it already finished.
 
         Cancellation is terminal and unconditional: the entry leaves its
-        queue (or lane) via :meth:`EndpointDispatcher.retract`, any late
+        queue (or lane) via :meth:`EndpointDispatcher.withdraw`, any late
         completion callback is discarded by the abort guard, no outcome
         flows through the resilience pipeline (nothing retries a
         cancellation), and the future fails with
-        :class:`~repro.errors.TaskCancelled`. Idempotent — a second call
+        :class:`~repro.errors.TaskCancelled`. The task is settled and
+        its future resolved before a lane it freed starts the next
+        queued task, as a deadline does: that task's body may run the
+        clock past this task's own deadline. Idempotent — a second call
         on a terminal task returns ``False`` and changes nothing.
         """
         future = self._futures.get(task_id)
@@ -370,8 +373,7 @@ class FaaSService:
             return False
         task = entry.task
         dispatcher = self._dispatchers.get(task.endpoint_id)
-        if dispatcher is not None:
-            dispatcher.retract(entry)
+        running = dispatcher is not None and dispatcher.withdraw(entry)
         task.state = TaskState.CANCELLED
         task.exception_text = f"TaskCancelled: task {task_id} was cancelled"
         self._settle(entry, "error", "TaskCancelled: cancelled")
@@ -384,6 +386,8 @@ class FaaSService:
             future.set_exception(
                 TaskCancelled(f"task {task_id} was cancelled")
             )
+        if running:
+            dispatcher.pump()
         return True
 
     # -- task lifecycle ----------------------------------------------------------
@@ -468,7 +472,6 @@ class FaaSService:
 
         task = Task(
             task_id=self._task_ids.uuid(),
-            function_id=function_id,
             endpoint_id=endpoint_id,
             identity_urn=token.identity.urn,
             args=args,
@@ -478,7 +481,6 @@ class FaaSService:
             routed_by=route.routed_by,
             pool=route.pool,
             queue_depth_at_route=route.queue_depth_at_route,
-            priority=priority,
         )
         self._bind_load(endpoint_id)
         future = TaskFuture(self.clock, task)

@@ -32,7 +32,6 @@ class Task:
     """
 
     task_id: str
-    function_id: str
     endpoint_id: str
     identity_urn: str
     args: tuple = ()
@@ -62,11 +61,9 @@ class Task:
     routed_by: str = ""
     pool: str = ""
     queue_depth_at_route: int = 0
-    # overload plane: the caller's priority class (0 = critical, higher
-    # is cheaper to shed); and the exhausted-retry postmortem — set when
-    # the retry policy gave up, recording the terminal error kind so
-    # provenance can explain why the task failed
-    priority: int = 1
+    # the exhausted-retry postmortem — set when the retry policy gave
+    # up, recording the terminal error kind so provenance can explain
+    # why the task failed
     gave_up: bool = False
     last_error_kind: str = ""
     # hedging: whether a speculative duplicate was launched for this

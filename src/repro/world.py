@@ -217,7 +217,6 @@ class World:
         """
         from repro.durability import ReplayIndex
 
-        # verifies the chain again: loading the journal verified it once
         index = ReplayIndex(journal)
         self.faas.enable_replay(index)
         self.engine.resume_run(index.records)

@@ -13,6 +13,7 @@ import warnings
 
 import pytest
 
+from repro.durability import journal as journal_module
 from repro.durability import (
     GENESIS_HASH,
     CoordinatorCrashed,
@@ -67,7 +68,8 @@ class TestJournal:
         assert (r0.seq, r1.seq) == (0, 1)
         assert r1.prev_hash == r0.hash
         assert journal.head_hash == r1.hash
-        assert [r.kind for r in journal.replay()] == [
+        journal.verify()
+        assert [r.kind for r in journal.records] == [
             "task.submitted", "task.completed",
         ]
 
@@ -762,6 +764,39 @@ class TestOnDiskCrashResume:
         assert resumed.faas.replayed_keys
         assert not set(index.completed_success()) & resumed.faas.executed_keys
         assert self._outcomes(futures) == self._outcomes(expected)
+
+    def test_disk_resume_walks_the_loaded_chain_once(self, tmp_path, monkeypatch):
+        crash_path = tmp_path / "crashed.jsonl"
+        crashed, submit_all = self._world(crash_path)
+        crashed.install_faults(
+            FaultPlan(seed=1, profile="on-disk-crash").add(
+                CoordinatorCrash(at_event_seq=self.CRASH_AT)
+            )
+        )
+        crashed.arm_faults()
+        submit_all()
+        with pytest.raises(CoordinatorCrashed):
+            crashed.clock.run_until_idle()
+
+        # every record hash computed from here on, loaded or appended
+        hashed = []
+        chain_hash = journal_module._chain_hash
+
+        def counting(*parts):
+            hashed.append(parts)
+            return chain_hash(*parts)
+
+        monkeypatch.setattr(journal_module, "_chain_hash", counting)
+        journal = Journal.open(str(crash_path))
+        assert len(hashed) == len(journal) > 0
+        resumed, submit_all = self._world(tmp_path / "resumed.jsonl")
+        resumed.resume_from(journal)
+        # the load walked the chain; the resume hashed only the records
+        # the resumed world appended itself
+        assert len(hashed) == len(journal) + len(resumed.journal)
+        submit_all()
+        resumed.clock.run_until_idle()
+        assert resumed.faas.replayed_keys
 
 
 class TestCrateRecoveryFields:

@@ -75,6 +75,40 @@ class TestFutureCancel:
         assert len(cancelled) == 1
         assert not world.events.query("faas", "task.completed")
 
+    def test_cancel_settles_before_the_freed_lane_runs_the_next_task(self):
+        # A runs on a warm block with a 15 s deadline and B queues behind
+        # it; cancelling A frees the lane, and B's 100 s body then runs
+        # the clock past A's deadline, so A must be settled before it
+        world = World()
+        client, eid, _ = _cloud_client(world)
+        fid = client.register_function(_compute, "compute")
+        assert client.submit(eid, fid, 1.0).result() == 1.0  # warm the block
+        a = client.submit(eid, fid, 10.0, timeout=15)
+        b = client.submit(eid, fid, 100.0)
+        seen = {}
+
+        def cancel_a():
+            assert a.task.state is TaskState.RUNNING
+            seen["cancelled"] = a.cancel()
+            seen["load"] = [world.faas.load(eid)]
+            world.clock.call_after(
+                50.0, lambda: seen["load"].append(world.faas.load(eid))
+            )
+
+        world.clock.call_after(4.0, cancel_a)
+        assert b.result() == 100.0
+        assert seen == {"cancelled": True, "load": [1, 1]}
+        terminal = [
+            e.kind for e in world.events
+            if e.data.get("task_id") == a.task_id
+            and e.kind in ("task.cancelled", "task.completed")
+        ]
+        assert terminal == ["task.cancelled"]
+        assert a.task.state is TaskState.CANCELLED
+        assert a.cancelled()
+        assert world.faas.resilience.timeouts == 0
+        assert not world.events.query("faas", "task.timeout")
+
     def test_cancel_terminal_task_returns_false(self):
         world = World()
         client, eid, _ = _cloud_client(world)

@@ -114,7 +114,8 @@ class TestGoldenJournal:
             (DATA / HASHES).read_text().split()
         )
         journal.verify()
-        assert [r.hash for r in journal.truncated(5).replay()] == [
+        # the truncated journal is built from a store, so it verifies
+        assert [r.hash for r in journal.truncated(5).records] == [
             r.hash for r in journal.records[:5]
         ]
 
@@ -135,7 +136,7 @@ class TestGoldenJournal:
         shutil.copy(DATA / JSONL, path)
         journal = Journal.open(str(path))
         journal.verify()
-        assert [r.hash for r in journal.replay()] == (
+        assert [r.hash for r in journal.records] == (
             (DATA / HASHES).read_text().split()
         )
         assert [r.kind for r in journal.records] == [

@@ -116,8 +116,8 @@ class TestBrokenKernelFails:
         monkeypatch.setattr(artifacts, "distributed_bfs", broken)
         self._fails("ae-bfs-bench")
 
-    def test_allgatherv(self, monkeypatch):
-        assert _call("ae-allgatherv-bench")[0] == 0
+    @staticmethod
+    def _break_allgatherv(monkeypatch) -> None:
         allgatherv = SimMPI.allgatherv
 
         def broken(comm, per_rank):
@@ -126,6 +126,17 @@ class TestBrokenKernelFails:
             return buffers
 
         monkeypatch.setattr(SimMPI, "allgatherv", broken)
+
+    def test_allgatherv(self, monkeypatch):
+        assert _call("ae-allgatherv-bench")[0] == 0
+        self._break_allgatherv(monkeypatch)
         stderr = self._fails("ae-allgatherv-bench")
         for layer in ("plain-mpi", "kamping", "naive-serializing"):
             assert f"[AE] {layer}: INCORRECT GATHER on ranks [3]" in stderr
+
+    def test_unit_tests_allgatherv(self, monkeypatch):
+        assert _call("ae-unit-tests")[0] == 0
+        self._break_allgatherv(monkeypatch)
+        stderr = self._fails("ae-unit-tests")
+        assert "[AE] allgatherv: INCORRECT RESULT" in stderr
+        assert "2 of 3 collective checks passed" in stderr

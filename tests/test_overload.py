@@ -6,7 +6,9 @@ import pytest
 
 from repro.durability.journal import Journal
 from repro.errors import AdmissionRejected, is_retryable
+from repro.experiments import common
 from repro.experiments.overload import (
+    OVERLOAD_RETRY,
     OverloadParams,
     format_overload_report,
     generate_workload,
@@ -14,6 +16,7 @@ from repro.experiments.overload import (
     run_overload,
     run_overload_comparison,
 )
+from repro.faas.client import ComputeClient
 from repro.faas.overload import (
     PRIORITY_BATCH,
     PRIORITY_NORMAL,
@@ -22,7 +25,10 @@ from repro.faas.overload import (
     RetryBudget,
     SlidingCounter,
 )
+from repro.faults.profiles import OVERLOAD_SITE
+from repro.faults.resilience import RetryPolicy
 from repro.hub.quotas import QuotaRegistry, TenantQuota
+from repro.telemetry.slo import overload_slo_pack
 from repro.world import World
 
 # small enough to run in well under a second, large enough to overload
@@ -235,25 +241,64 @@ class TestOpenLoopTracing:
 
 
 class TestShedReplay:
+    PARAMS = OverloadParams(
+        tenants=2, endpoints=2, horizon=300.0, seed=3, profile="none"
+    )
+    TIGHT = OverloadConfig(
+        shed_watermarks={PRIORITY_BATCH: 2, PRIORITY_NORMAL: 4},
+        aimd_initial=4.0,
+        aimd_min=2.0,
+        aimd_max=8.0,
+    )
+
+    def _run(self, journal=None, resume_from=None):
+        """The fault-free overload workload (``run_overload``'s world)
+        under a tight shedding config, journaled to ``journal`` or
+        resumed from ``resume_from``; returns the plane's stats."""
+        params = self.PARAMS
+        world = World(
+            telemetry=True,
+            streaming_metrics=True,
+            retry_policy=RetryPolicy(seed=params.seed, **OVERLOAD_RETRY),
+            offline_policy="queue",
+            placement_policy="least-loaded",
+            overload=self.TIGHT,
+        )
+        world.enable_observability(rules=overload_slo_pack())
+        if journal is not None:
+            world.attach_journal(journal)
+        clients = []
+        for index in range(params.tenants):
+            login = f"tenant-{index}"
+            user = world.register_user(login, {OVERLOAD_SITE: f"x-{login}"})
+            clients.append(
+                ComputeClient(world.faas, user.client_id, user.client_secret)
+            )
+        common.deploy_site_mep_pool(world, OVERLOAD_SITE, size=params.endpoints)
+        if resume_from is not None:
+            world.resume_from(resume_from)
+        function_ids = [
+            client.register_function(common.virtual_work, f"overload-work-{index}")
+            for index, client in enumerate(clients)
+        ]
+        common.run_open_loop(
+            world,
+            generate_workload(params),
+            lambda a: clients[a.tenant].submit(
+                OVERLOAD_SITE, function_ids[a.tenant], a.duration,
+                timeout=params.deadline, priority=a.priority,
+            ),
+        )
+        return world.faas.overload.stats
+
     def test_shed_counts_reproduce_across_journal_replay(self):
-        params = OverloadParams(
-            tenants=2, endpoints=2, horizon=300.0, seed=3, profile="none"
-        )
-        tight = OverloadConfig(
-            shed_watermarks={PRIORITY_BATCH: 2, PRIORITY_NORMAL: 4},
-            aimd_initial=4.0,
-            aimd_min=2.0,
-            aimd_max=8.0,
-        )
         journal = Journal()
-        live = run_overload(params, protection=True, config=tight, journal=journal)
+        live = self._run(journal=journal)
         journal.flush()
-        replayed = run_overload(
-            params, protection=True, config=tight, replay_journal=journal
-        )
-        assert live.stats.shed > 0
-        assert replayed.stats.shed == live.stats.shed
-        assert replayed.stats.rejected == live.stats.rejected
+        replayed = self._run(resume_from=journal)
+        assert live.shed > 0
+        assert replayed.shed == live.shed
+        assert replayed.rejected == live.rejected
 
 
 class TestCLI:

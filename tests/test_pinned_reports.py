@@ -10,6 +10,9 @@ A pinned report is regenerated only in its own commit, saying why, never
 alongside the change that moved it.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from repro.cli import main
 from repro.telemetry import validate_openmetrics
 
-BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
+ROOT = Path(__file__).resolve().parents[1]
+BASELINES = ROOT / "benchmarks" / "baselines"
 
 # (id, argv, pinned file, expected exit code)
 PINNED = [
@@ -116,6 +120,23 @@ def test_report_matches_pinned(argv, pinned, exit_code, capsys):
     out = capsys.readouterr().out
     assert out == (BASELINES / pinned).read_text(encoding="utf-8")
     assert code == exit_code
+
+
+def test_chaos_fig5_report_is_the_same_under_python_O():
+    # -O strips assert statements: a simulated test may check with
+    # assert, but nothing it must do may happen inside one
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "repro", "chaos", "fig5"],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+    )
+    assert done.stdout == (BASELINES / "chaos-fig5.txt").read_text(
+        encoding="utf-8"
+    )
+    assert done.returncode == 0
 
 
 def test_overload_export_validates_and_keeps_stdout_pinned(tmp_path, capsys):

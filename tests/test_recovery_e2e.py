@@ -17,6 +17,7 @@ import pytest
 from repro.experiments.recovery import (
     CRASH_POINT_NAMES,
     _execute,
+    _prepare,
     _recover_one,
     _render_outputs,
     crash_points_of,
@@ -24,6 +25,7 @@ from repro.experiments.recovery import (
     run_fig4_recovery,
     run_fig4_recovery_sweep,
 )
+from repro.suites import execute_suite
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +39,10 @@ def baseline():
 class TestJournalIsInvisible:
     def test_journaled_run_matches_unjournaled_run(self, baseline):
         _, _, _, journaled_output = baseline
-        world, run, journal, _ = _execute(telemetry=False, journaled=False)
-        assert journal is None
+        prepared = _prepare(telemetry=False)
+        run = execute_suite(prepared, crash_ok=True).run
+        world = prepared.world
+        assert world.journal is None
         assert _render_outputs(world, run) == journaled_output
 
 
