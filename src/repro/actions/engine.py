@@ -350,9 +350,9 @@ class Engine:
         Each pass collects a *wave*: the runnable instances, scanning
         jobs in dependency order and stopping at the first unfinished
         dependency or approval gate. With ``concurrent_jobs`` the wave's
-        instances interleave step-by-step in virtual time; otherwise the
-        wave executes sequentially, which is byte-for-byte the original
-        blocking behaviour.
+        instances share one wait and interleave step by step in virtual
+        time; otherwise each runs to completion as a one-job wave, in
+        order.
         """
         hosted = self.hub.repo(run.repo_slug)
         while True:
@@ -431,21 +431,11 @@ class Engine:
             if not wave:
                 self._seal_run_span(run)
                 return run
-            if self.concurrent_jobs and len(wave) > 1:
+            if self.concurrent_jobs:
                 self._execute_wave(run, wave, hosted)
             else:
-                for job_run, job_def in wave:
-                    self._execute_job(run, job_run, job_def, hosted)
-
-    def _execute_job(self, run, job_run, job_def, hosted) -> None:
-        """Run one job instance to completion, blocking in virtual time."""
-        stepper = self._job_stepper(run, job_run, job_def, hosted)
-        try:
-            pending = next(stepper)
-            while True:
-                pending = stepper.send(self._step_outcome_of(pending))
-        except StopIteration:
-            pass
+                for job in wave:
+                    self._execute_wave(run, [job], hosted)
 
     def _job_stepper(self, run, job_run, job_def, hosted):
         """Generator executing one job instance's steps in order.
@@ -607,48 +597,41 @@ class Engine:
             return StepOutcome(status="failure", error=traceback.format_exc())
 
     def _execute_wave(self, run, wave, hosted) -> None:
-        """Interleave several job instances' steps in virtual time.
+        """Run job instances to completion, interleaving their steps in
+        virtual time; a one-job wave is a sequential job.
 
-        Each stepper advances until it yields a step future; the loop
-        resumes whichever steppers' futures have resolved, and when every
-        live stepper is blocked it fires the next clock event. Pilot
-        queue waits and remote task bodies on different endpoints
-        therefore occupy overlapping virtual intervals — the run's
-        makespan approaches the slowest job rather than the sum.
+        Each stepper advances until it yields a step future. One
+        :meth:`SimClock.wait_until` blocks until any live future resolves,
+        and every stepper whose future has resolved resumes, in wave
+        order. Pilot queue waits and remote task bodies on different
+        endpoints therefore occupy overlapping virtual intervals — the
+        run's makespan approaches the slowest job rather than the sum.
+        When no event is left to resolve any pending step, the first
+        stalled job's step fails through :meth:`_step_outcome_of` exactly
+        as a sequential job's does, and its remaining steps run under §5.3.
         """
         live: List[Dict[str, Any]] = []
         for job_run, job_def in wave:
             stepper = self._job_stepper(run, job_run, job_def, hosted)
             try:
-                live.append(
-                    {"stepper": stepper, "future": next(stepper), "job": job_run}
-                )
+                live.append({"stepper": stepper, "future": next(stepper)})
             except StopIteration:
                 pass  # all-sync job finished during spin-up
         while live:
-            progressed = False
+            # every live step pending and no event left: the first job's
+            # step fails as a deadlock, and its job goes on under §5.3
+            stalled = not self.clock.wait_until(
+                lambda: any(state["future"].done() for state in live)
+            )
             for state in list(live):
-                while state["future"].done():
-                    progressed = True
+                while stalled or state["future"].done():
+                    stalled = False
                     outcome = self._step_outcome_of(state["future"])
                     try:
                         state["future"] = state["stepper"].send(outcome)
                     except StopIteration:
                         live.remove(state)
                         break
-            if not live or progressed:
-                continue
-            nxt = self.clock.next_event_time()
-            if nxt is None:
-                # deadlock: no event can ever resolve the pending steps
-                for state in live:
-                    state["job"].status = "failure"
-                    run.append_log(
-                        f"[{state['job'].job_id}] failed: step future "
-                        f"pending with no events scheduled"
-                    )
-                return
-            self.clock.run_until(nxt)
 
     def _expression_context(
         self,

@@ -83,7 +83,6 @@ class SurrogateModel:
     def predict(self, smiles: Sequence[str]) -> np.ndarray:
         if not self.is_fitted:
             raise RuntimeError("model is not fitted")
-        assert self._mean is not None and self._scale is not None
         X = _feature_matrix(smiles)
         Xn = (X - self._mean) / self._scale
         Xn = np.hstack([Xn, np.ones((len(Xn), 1))])

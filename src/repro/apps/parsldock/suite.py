@@ -20,44 +20,44 @@ from repro.apps.parsldock.docking import (
 )
 from repro.apps.parsldock.ml import SurrogateModel
 from repro.apps.parsldock.pipeline import CANDIDATE_SMILES, DockingCampaign
-from repro.shellsim.suites import SuiteContext, TestSuite
+from repro.shellsim.suites import SuiteContext, TestSuite, check
 
 
 def _test_smiles_parse(ctx: SuiteContext) -> None:
     mol = parse_smiles("CC(C)Cc1ccccc1")
-    assert mol.heavy_atom_count == 10
-    assert mol.ring_count == 1
+    check(mol.heavy_atom_count == 10)
+    check(mol.ring_count == 1)
 
 
 def _test_molecular_weight(ctx: SuiteContext) -> None:
     ethanol = parse_smiles("CCO")
-    assert abs(ethanol.molecular_weight - 46.07) < 0.1
+    check(abs(ethanol.molecular_weight - 46.07) < 0.1)
 
 
 def _test_conformer_deterministic(ctx: SuiteContext) -> None:
     a = parse_smiles("CCN").conformer(seed=7)
     b = parse_smiles("CCN").conformer(seed=7)
-    assert a == b
+    check(a == b)
     c = parse_smiles("CCN").conformer(seed=8)
-    assert a != c
+    check(a != c)
 
 
 def _test_prepare_ligand(ctx: SuiteContext) -> None:
     ligand = prepare_ligand("CC(N)C(O)O")
-    assert ligand.acceptors >= 3
-    assert ligand.rotatable_bonds >= 1
+    check(ligand.acceptors >= 3)
+    check(ligand.rotatable_bonds >= 1)
 
 
 def _test_prepare_receptor(ctx: SuiteContext) -> None:
     receptor = prepare_receptor()
-    assert receptor.hbond_sites > 0
-    assert receptor.pocket_volume > 100
+    check(receptor.hbond_sites > 0)
+    check(receptor.pocket_volume > 100)
 
 
 def _test_dock_single(ctx: SuiteContext) -> None:
     receptor = prepare_receptor()
     score = dock(prepare_ligand("c1ccccc1O"), receptor)
-    assert score < 0, "favourable ligand must have a negative score"
+    check(score < 0, "favourable ligand must have a negative score")
 
 
 def _test_dock_exhaustive(ctx: SuiteContext) -> None:
@@ -65,14 +65,14 @@ def _test_dock_exhaustive(ctx: SuiteContext) -> None:
     ligand = prepare_ligand("CC(C)Cc1ccccc1")
     quick = dock(ligand, receptor, exhaustiveness=1)
     thorough = dock(ligand, receptor, exhaustiveness=32)
-    assert thorough <= quick, "more search cannot find a worse pose"
+    check(thorough <= quick, "more search cannot find a worse pose")
 
 
 def _test_scores_reproducible(ctx: SuiteContext) -> None:
     receptor = prepare_receptor()
     batch = dock_batch(CANDIDATE_SMILES[:8], receptor)
     again = dock_batch(CANDIDATE_SMILES[:8], receptor)
-    assert batch == again
+    check(batch == again)
 
 
 def _test_ml_surrogate(ctx: SuiteContext) -> None:
@@ -82,24 +82,25 @@ def _test_ml_surrogate(ctx: SuiteContext) -> None:
     model = SurrogateModel().fit(train, [scores[s] for s in train])
     held_out = CANDIDATE_SMILES[16:]
     ranked = model.rank(held_out)
-    assert set(ranked) == set(held_out)
+    check(set(ranked) == set(held_out))
     true_scores = dock_batch(held_out, receptor)
     top_half = ranked[: len(ranked) // 2]
     bottom_half = ranked[len(ranked) // 2:]
     top_mean = sum(true_scores[s] for s in top_half) / len(top_half)
     bottom_mean = sum(true_scores[s] for s in bottom_half) / len(bottom_half)
-    assert top_mean <= bottom_mean + 1.0, (
-        "surrogate ranking should roughly order true scores"
+    check(
+        top_mean <= bottom_mean + 1.0,
+        "surrogate ranking should roughly order true scores",
     )
 
 
 def _test_pipeline_end_to_end(ctx: SuiteContext) -> None:
     campaign = DockingCampaign(batch_size=4)
     ranked = campaign.run(CANDIDATE_SMILES, rounds=3)
-    assert len(ranked) >= 8, "three rounds of four should dock >= 8 ligands"
+    check(len(ranked) >= 8, "three rounds of four should dock >= 8 ligands")
     best_smiles, best_score = ranked[0]
-    assert best_score == min(campaign.scores.values())
-    assert best_smiles in CANDIDATE_SMILES
+    check(best_score == min(campaign.scores.values()))
+    check(best_smiles in CANDIDATE_SMILES)
 
 
 def _build_suite() -> TestSuite:

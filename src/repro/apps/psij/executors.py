@@ -86,8 +86,6 @@ class SlurmJobExecutor(JobExecutor):
         self._native: Dict[str, Job] = {}
 
     def submit(self, job: PsiJJob) -> None:
-        scheduler = self.handle.site.scheduler
-        assert scheduler is not None
         batch_job = Job(
             user=self.handle.user,
             partition=self.partition,
@@ -96,14 +94,12 @@ class SlurmJobExecutor(JobExecutor):
             duration=job.spec.work,
             name=f"psij-{job.spec.executable}",
         )
-        job.native_id = scheduler.submit(batch_job)
+        job.native_id = self.handle.site.scheduler.submit(batch_job)
         self._native[job.native_id] = batch_job
         job.mark(JobStatus.QUEUED)
 
     def wait(self, job: PsiJJob) -> JobStatus:
-        scheduler = self.handle.site.scheduler
-        assert scheduler is not None
-        batch_job = scheduler.wait_for(job.native_id)
+        batch_job = self.handle.site.scheduler.wait_for(job.native_id)
         mapping = {
             JobState.COMPLETED: JobStatus.COMPLETED,
             JobState.FAILED: JobStatus.FAILED,
@@ -115,15 +111,11 @@ class SlurmJobExecutor(JobExecutor):
         return job.status
 
     def cancel(self, job: PsiJJob) -> None:
-        scheduler = self.handle.site.scheduler
-        assert scheduler is not None
-        scheduler.cancel(job.native_id)
+        self.handle.site.scheduler.cancel(job.native_id)
         job.mark(JobStatus.CANCELED)
 
     def status(self, job: PsiJJob) -> JobStatus:
-        scheduler = self.handle.site.scheduler
-        assert scheduler is not None
-        state = scheduler.job(job.native_id).state
+        state = self.handle.site.scheduler.job(job.native_id).state
         if state is JobState.PENDING:
             return JobStatus.QUEUED
         if state is JobState.RUNNING:

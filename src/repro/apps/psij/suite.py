@@ -20,15 +20,15 @@ from repro.apps.psij.executors import (
     render_batch_attributes_fixed,
 )
 from repro.apps.psij.jobspec import JobSpec, JobStatus, PsiJJob, ResourceSpec
-from repro.shellsim.suites import SuiteContext, TestSuite
+from repro.shellsim.suites import SuiteContext, TestSuite, check
 
 
 def _test_version_installed(ctx: SuiteContext) -> None:
     env_name = ctx.env.get("CONDA_DEFAULT_ENV", "base")
     env = ctx.handle.conda().env(env_name)
-    assert env.has("psij-python", "0.9.9"), (
-        f"psij-python 0.9.9 not installed in {env_name} "
-        f"(have {env.freeze()})"
+    check(
+        env.has("psij-python", "0.9.9"),
+        f"psij-python 0.9.9 not installed in {env_name} (have {env.freeze()})",
     )
 
 
@@ -37,8 +37,8 @@ def _test_local_submit(ctx: SuiteContext) -> None:
     job = PsiJJob(JobSpec(executable="echo", arguments=["psij"], work=0.5))
     executor.submit(job)
     status = executor.wait(job)
-    assert status is JobStatus.COMPLETED
-    assert job.exit_code == 0
+    check(status is JobStatus.COMPLETED)
+    check(job.exit_code == 0)
 
 
 def _test_local_stdout_capture(ctx: SuiteContext) -> None:
@@ -55,7 +55,7 @@ def _test_local_stdout_capture(ctx: SuiteContext) -> None:
         )
     )
     executor.submit(job)
-    assert ctx.handle.fs_read(out_path) == "captured output"
+    check(ctx.handle.fs_read(out_path) == "captured output")
 
 
 def _test_failed_job_status(ctx: SuiteContext) -> None:
@@ -63,13 +63,13 @@ def _test_failed_job_status(ctx: SuiteContext) -> None:
     job = PsiJJob(JobSpec(executable="false", work=0.2))
     executor.submit(job)
     status = executor.wait(job)
-    assert status is JobStatus.FAILED
-    assert job.exit_code != 0
+    check(status is JobStatus.FAILED)
+    check(job.exit_code != 0)
 
 
 def _test_executor_factory(ctx: SuiteContext) -> None:
     local = get_executor("local", ctx.handle)
-    assert isinstance(local, LocalJobExecutor)
+    check(isinstance(local, LocalJobExecutor))
     try:
         get_executor("pbs", ctx.handle)
         raise AssertionError("unknown executor name must raise")
@@ -88,9 +88,9 @@ def _test_slurm_roundtrip(ctx: SuiteContext) -> None:
                 resources=ResourceSpec(node_count=1))
     )
     executor.submit(job)
-    assert job.status is JobStatus.QUEUED
+    check(job.status is JobStatus.QUEUED)
     status = executor.wait(job)
-    assert status is JobStatus.COMPLETED
+    check(status is JobStatus.COMPLETED)
 
 
 def _test_slurm_cancel(ctx: SuiteContext) -> None:
@@ -102,7 +102,7 @@ def _test_slurm_cancel(ctx: SuiteContext) -> None:
     job = PsiJJob(JobSpec(executable="true", work=500.0, duration=600.0))
     executor.submit(job)
     executor.cancel(job)
-    assert job.status is JobStatus.CANCELED
+    check(job.status is JobStatus.CANCELED)
 
 
 def _test_batch_attributes(ctx: SuiteContext) -> None:
@@ -112,7 +112,7 @@ def _test_batch_attributes(ctx: SuiteContext) -> None:
         custom_attributes={"partition": "shared", "account": "abc123"},
     )
     directives = render_batch_attributes(spec)
-    assert "#SBATCH --partition=shared" in directives
+    check("#SBATCH --partition=shared" in directives)
 
 
 def _test_batch_attributes_fixed(ctx: SuiteContext) -> None:
@@ -124,7 +124,7 @@ def _test_batch_attributes_fixed(ctx: SuiteContext) -> None:
         custom_attributes={"partition": "shared", "account": "abc123"},
     )
     directives = render_batch_attributes_fixed(spec)
-    assert "#SBATCH --partition=shared" in directives
+    check("#SBATCH --partition=shared" in directives)
 
 
 def _build_suite(fixed: bool = False) -> TestSuite:

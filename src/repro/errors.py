@@ -395,6 +395,15 @@ class CoordinatorCrashed(BaseException):
         self.at_record = at_record
 
 
+# The engine's own failures, which no task or dispatch may absorb: a
+# planned coordinator crash, and the interpreter running out of stack
+# (the drain has already popped events above the raising frame, so
+# recording it as one task's failure would silently lose them). Handlers
+# that isolate user code or a dispatch re-raise these before their
+# catch-all, so they unwind the whole run.
+ENGINE_ERRORS = (CoordinatorCrashed, RecursionError)
+
+
 # ---------------------------------------------------------------------------
 # CORRECT
 # ---------------------------------------------------------------------------

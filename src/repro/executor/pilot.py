@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import (
-    CoordinatorCrashed,
+    ENGINE_ERRORS,
     ExecutorError,
     NodePreempted,
     ReproError,
@@ -111,12 +111,9 @@ class PilotExecutor:
 
     def _block_job_alive(self) -> bool:
         block = self._block
-        assert block is not None
         if block.job_id is None:
             return True
-        scheduler = self.site.scheduler
-        assert scheduler is not None
-        return scheduler.job(block.job_id).state is JobState.RUNNING
+        return self.site.scheduler.job(block.job_id).state is JobState.RUNNING
 
     def _handle_for(self, block: Block) -> NodeHandle:
         node = block.nodes[0]
@@ -134,9 +131,7 @@ class PilotExecutor:
         """Raise if the backing batch job died under the task."""
         if block.job_id is None:
             return
-        scheduler = self.site.scheduler
-        assert scheduler is not None
-        state = scheduler.job(block.job_id).state
+        state = self.site.scheduler.job(block.job_id).state
         if state is JobState.TIMEOUT:
             raise WalltimeExceeded(
                 f"pilot {block.job_id} hit walltime during task"
@@ -208,16 +203,7 @@ class PilotExecutor:
                 with tracer.activate(node_span.context):
                     try:
                         result = fn(handle)
-                    except CoordinatorCrashed:
-                        # a crash planted in the journal fires while the
-                        # body drives the clock — it is the coordinator
-                        # dying, not this task failing; unwind everything
-                        raise
-                    except RecursionError:
-                        # the interpreter ran out of stack, not the task:
-                        # recording it as a task failure would silently
-                        # corrupt the drain (events already popped above
-                        # this frame never fire). Let it crash the run.
+                    except ENGINE_ERRORS:
                         raise
                     except BaseException as exc:  # noqa: BLE001 - remote user code
                         error = exc

@@ -156,7 +156,6 @@ class SlurmProvider(Provider):
             on_error(fault)
             return
         scheduler = self.site.scheduler
-        assert scheduler is not None
         job = self._pilot_job()
         job_id = scheduler.submit(job)
         scheduler.notify_start(
@@ -166,7 +165,6 @@ class SlurmProvider(Provider):
     def release_block(self, block: Block) -> None:
         if block.job_id is not None:
             scheduler = self.site.scheduler
-            assert scheduler is not None
             job = scheduler.job(block.job_id)
             if job.state is JobState.RUNNING:
                 scheduler.complete(block.job_id)

@@ -22,7 +22,7 @@ from typing import Deque, Optional
 
 from repro.auth.oauth import Token
 from repro.errors import (
-    CoordinatorCrashed,
+    ENGINE_ERRORS,
     EndpointNotFound,
     EndpointOffline,
     PermissionDenied,
@@ -295,14 +295,7 @@ class EndpointDispatcher:
                     endpoint.execute_async(
                         spec, task.args, task.kwargs, done_cb
                     )
-        except CoordinatorCrashed:
-            # a planned crash is the coordinator process dying, not a
-            # dispatch failure — let it unwind the whole run
-            raise
-        except RecursionError:
-            # interpreter stack exhaustion, not a dispatch failure —
-            # swallowing it would silently drop clock events (see
-            # SimClock.run_until_idle) and break determinism
+        except ENGINE_ERRORS:
             raise
         except BaseException as exc:  # noqa: BLE001 - dispatch-time failure
             on_done(None, exc)

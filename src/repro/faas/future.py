@@ -27,16 +27,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Future:
     """A value that resolves when the simulation reaches its event.
 
-    ``clock`` is the shared :class:`SimClock`; :meth:`wait` advances it
-    event by event until the future resolves. A future that can never
-    resolve (the event queue drains first) raises :class:`TaskFailed`
-    rather than spinning — in a discrete-event world an empty queue *is*
-    a deadlock.
+    ``clock`` is the shared :class:`SimClock`; :meth:`wait` blocks on it
+    through :meth:`SimClock.wait_until`. A future that can never resolve
+    (the event queue drains first) raises :class:`TaskFailed` rather than
+    spinning.
     """
 
     __slots__ = ("_clock", "_resolved", "_result", "_exception", "_callbacks")
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self._clock = clock
         self._resolved = False
         self._result: Any = None
@@ -92,15 +91,8 @@ class Future:
 
     def wait(self) -> "Future":
         """Drive the clock until this future resolves; never raises its error."""
-        while not self._resolved:
-            if self._clock is None:
-                raise TaskFailed("future has no clock to drive and is pending")
-            nxt = self._clock.next_event_time()
-            if nxt is None:
-                raise TaskFailed(
-                    "deadlock: future pending but no events are scheduled"
-                )
-            self._clock.run_until(nxt)
+        if not self._resolved and not self._clock.wait_until(self.done):
+            raise TaskFailed("deadlock: future pending but no events are scheduled")
         return self
 
     def result(self) -> Any:

@@ -102,7 +102,6 @@ class CircuitBreaker:
         caller as the probe.
         """
         if self.state == self.OPEN:
-            assert self.opened_at is not None
             if now - self.opened_at >= self.policy.reset_timeout:
                 self.state = self.HALF_OPEN
                 return True

@@ -170,13 +170,10 @@ class SlurmScheduler:
 
     # -- waiting helpers ---------------------------------------------------------
     def wait_for(self, job_id: str) -> Job:
-        """Advance virtual time until the job reaches a terminal state."""
+        """Advance virtual time until the job reaches a terminal state, or
+        return it as it is once no event is left to move it."""
         job = self.job(job_id)
-        while not job.state.is_terminal:
-            nxt = self.clock.next_event_time()
-            if nxt is None:
-                break
-            self.clock.run_until(nxt)
+        self.clock.wait_until(lambda: job.state.is_terminal)
         return job
 
     # -- partitions and utilization -------------------------------------------

@@ -36,13 +36,23 @@ class SuiteContext:
         return self.handle.fs_exists(f"{self.cwd}/{relpath}")
 
 
+def check(condition: object, message: str = "") -> None:
+    """A suite case's check: raise :class:`AssertionError` unless
+    ``condition`` holds. Unlike ``assert`` it is never stripped by
+    ``python -O``; :meth:`TestSuite.run` reports it as FAILED with
+    ``message`` (or ``assertion failed``)."""
+    if not condition:
+        raise AssertionError(message)
+
+
 @dataclass
 class TestCase:
     """One test: a name, an abstract cost, and a real check function.
 
     ``work`` is in reference-core seconds; ``fn`` receives a
-    :class:`SuiteContext` and raises on failure (``AssertionError`` or any
-    exception). ``threads`` lets heavyweight cases exploit node cores.
+    :class:`SuiteContext` and raises on failure (``AssertionError``, as
+    :func:`check` does, or any exception). ``threads`` lets heavyweight
+    cases exploit node cores.
     """
 
     name: str

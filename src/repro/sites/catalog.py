@@ -187,7 +187,6 @@ def _add_background_load(site: Site, stagger: float, waves: int = 30) -> None:
     stand-in for production queue pressure. ``waves`` bounds the total
     number of background jobs so simulations terminate.
     """
-    assert site.scheduler is not None
     scheduler = site.scheduler
     partition = scheduler.default_partition
     nodes = partition.node_count

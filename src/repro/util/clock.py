@@ -8,7 +8,9 @@ while still reporting realistic virtual durations.
 The clock also provides a tiny discrete-event facility: callbacks can be
 scheduled at absolute virtual times and are fired in order whenever the
 clock moves past them (via :meth:`advance` or :meth:`run_until`). The batch
-scheduler uses this to model job start/finish events.
+scheduler uses this to model job start/finish events. Code that blocks
+until something happens elsewhere in the simulation does so through
+:meth:`wait_until`; code that only spends time calls :meth:`advance`.
 
 Cancellation is *lazy*: a cancelled entry stays in the heap until it
 reaches the head (or a compaction sweep removes it), so :meth:`call_at`,
@@ -258,11 +260,29 @@ class SimClock:
         if target > self._now:
             self._now = target
 
+    def wait_until(self, done: Callable[[], bool]) -> bool:
+        """Fire events one virtual instant at a time until ``done()`` holds.
+
+        The one way to block on the rest of the simulation: a future's
+        result, a batch job's end, a workflow wave's next resolved step.
+        ``done`` is checked before every step, so a condition that
+        already holds fires nothing. Returns ``False`` when the queue
+        empties first — in a discrete-event world an empty queue *is* a
+        deadlock, and the caller decides what that means for it.
+        """
+        while not done():
+            when = self.next_event_time()
+            if when is None:
+                return False
+            self.run_until(when)
+        return True
+
     def run_until_idle(self, limit: float = float("inf")) -> None:
         """Fire every pending event (events may schedule more events).
 
         ``limit`` bounds the final time to protect against runaway
-        self-rescheduling loops.
+        self-rescheduling loops. Unlike :meth:`wait_until` it drains to a
+        time rather than to a condition.
         """
         if self._regions:
             raise RuntimeError("cannot drain events inside a measure() region")

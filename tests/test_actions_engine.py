@@ -8,6 +8,7 @@ from repro.actions.runner import RunnerPool
 from repro.core.security import sole_reviewer_rules
 from repro.envs.stdlib import standard_index
 from repro.errors import ApprovalRequired, NoRunnerAvailable, PermissionDenied
+from repro.faas.future import Future
 from repro.hub.service import HubService
 from repro.util.clock import SimClock
 
@@ -432,3 +433,63 @@ class TestMultipleWorkflows:
         names = sorted(r.workflow.name for r in engine.runs)
         assert names == ["CI", "CI-2"]
         assert all(r.status == "success" for r in engine.runs)
+
+
+class _StallingAction:
+    """A marketplace action whose step future nothing ever resolves."""
+
+    def run_async(self, ctx):
+        return Future(ctx.engine.clock)
+
+
+STALLED = """on: push
+jobs:
+  a:
+    steps:
+      - name: stall
+        uses: acme/stall@v1
+      - name: cleanup
+        if: '${{ always() }}'
+        run: echo cleaning
+  b:
+    steps:
+      - name: fine
+        run: echo fine
+"""
+
+
+class TestStalledStep:
+    """A step whose future nothing can resolve fails its job like any
+    failed step (§5.3), whether or not the wave's jobs share one wait."""
+
+    @pytest.mark.parametrize("concurrent_jobs", [False, True])
+    def test_stalled_step_fails_and_always_steps_still_run(self, concurrent_jobs):
+        clock = SimClock()
+        hub = HubService(clock)
+        pool = RunnerPool(clock, package_index=standard_index())
+        engine = Engine(
+            hub, pool, services=EngineServices(), concurrent_jobs=concurrent_jobs
+        )
+        hub.marketplace.publish("acme/stall@v1", _StallingAction())
+        hub.create_user("alice")
+        hub.create_repo("alice/app", owner="alice")
+        _push(hub, STALLED)
+        run = engine.runs[0]
+        job_a = run.job("a")
+        assert [o.status for o in job_a.step_outcomes] == ["failure", "success"]
+        assert job_a.step_outcomes[0].error == (
+            "TaskFailed: deadlock: future pending but no events are scheduled"
+        )
+        assert job_a.status == "failure"
+        assert [o.status for o in run.job("b").step_outcomes] == ["success"]
+        finished = [
+            e.data["status"] for e in engine.events.query(kind="step.finished")
+            if e.data["job"] == "a"
+        ]
+        assert finished == ["failure", "success"]
+        jobs_finished = [
+            e.data["status"] for e in engine.events.query(kind="job.finished")
+            if e.data["job"] == "a"
+        ]
+        assert jobs_finished == ["failure"]
+        assert not any("pending with no events" in line for line in run.log)

@@ -10,6 +10,7 @@ from repro.experiments.fig4_parsldock import run_fig4_overlap
 from repro.faas import BatchRequest
 from repro.faas.client import ComputeClient
 from repro.faas.future import Future
+from repro.faas.pipeline import Pipeline
 from repro.faas.task import TaskState
 from repro.scheduler.jobs import Job
 from repro.world import World
@@ -111,6 +112,44 @@ class TestTaskFuture:
         future = Future(world.clock)
         with pytest.raises(TaskFailed, match="deadlock"):
             future.result()
+
+
+class TestEngineErrorsUnwind:
+    """A RecursionError is the interpreter's failure, not the task's: it
+    unwinds the drain from a body and from dispatch alike, and is never
+    recorded as the task's outcome."""
+
+    @staticmethod
+    def _assert_unsettled(world, future):
+        task = world.faas.get_task(future.task_id)
+        assert task.state is TaskState.RUNNING
+        assert not future.done()
+        assert world.events.query(kind="task.completed") == []
+
+    def test_recursion_error_in_a_body_unwinds_the_drain(self, two_endpoints):
+        world, client, ep_a, _ = two_endpoints
+
+        def deep(fctx):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        future = client.submit(ep_a, client.register_function(deep, "deep"))
+        with pytest.raises(RecursionError):
+            world.clock.run_until_idle()
+        self._assert_unsettled(world, future)
+
+    def test_recursion_error_at_dispatch_unwinds_the_drain(
+        self, two_endpoints, monkeypatch
+    ):
+        world, client, ep_a, _ = two_endpoints
+
+        def wrap_spec(self, entry):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(Pipeline, "wrap_spec", wrap_spec)
+        future = client.submit(ep_a, client.register_function(_work, "work"), 1.0)
+        with pytest.raises(RecursionError):
+            world.clock.run_until_idle()
+        self._assert_unsettled(world, future)
 
 
 class TestLaneWithdrawal:

@@ -139,6 +139,32 @@ def test_chaos_fig5_report_is_the_same_under_python_O():
     assert done.returncode == 0
 
 
+def test_a_false_suite_check_fails_under_python_O():
+    # the simulated suites check through shellsim.suites.check, which -O
+    # does not strip: with PSI/J's Slurm cancel broken, Fig. 5 must
+    # still report the cancel test as failing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    script = (
+        "import sys\n"
+        "from repro.apps.psij.executors import SlurmJobExecutor\n"
+        "from repro.cli import main\n"
+        "SlurmJobExecutor.cancel = lambda self, job: None\n"
+        "sys.exit(main(['fig5']))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, encoding="utf-8", env=env, check=False,
+    )
+    rows = [line.split()[:2] for line in done.stdout.splitlines()]
+    assert ["test_slurm_cancel", "FAILED"] in rows
+    assert "failing: ['test_batch_attributes', 'test_slurm_cancel']" in (
+        done.stdout.splitlines()
+    )
+
+
 def test_overload_export_validates_and_keeps_stdout_pinned(tmp_path, capsys):
     # "wrote ..." goes to stderr, so exporting leaves stdout pinned
     prefix = tmp_path / "overload"
